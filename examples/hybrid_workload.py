@@ -5,10 +5,13 @@ a skewed workload, reporting the two modes' throughput and latency
 separately plus the abort-reason breakdown of Fig. 16c — including the
 serializability-check aborts unique to hybrid execution.
 
-Run:  python examples/hybrid_workload.py
+Run:  python examples/hybrid_workload.py [--quick]
+
+``--quick`` shrinks the bank and the epochs (CI smoke).
 """
 
 import random
+import sys
 
 from repro.errors import AbortReason
 from repro.experiments.tables import format_table
@@ -31,10 +34,13 @@ REASON_LABELS = {
 
 
 def main() -> None:
+    quick = "--quick" in sys.argv[1:]
     runner = EngineRunner(
         "hybrid", {"snapper": {ACCOUNT_KIND: SnapperAccountActor}}, seed=11
     )
-    distribution = make_distribution("high", 2_000, runner.loop.rng)
+    distribution = make_distribution(
+        "high", 500 if quick else 2_000, runner.loop.rng
+    )
     workload = SmallBankWorkload(
         distribution, txn_size=4, pact_fraction=0.9, rng=random.Random(3)
     )
@@ -42,7 +48,8 @@ def main() -> None:
     result = run_epochs(
         runner, workload.next_txn,
         num_clients=2, pipeline_size=16,
-        epochs=4, epoch_duration=0.5, warmup_epochs=1,
+        epochs=2 if quick else 4,
+        epoch_duration=0.15 if quick else 0.5, warmup_epochs=1,
     )
     metrics = result.metrics
 

@@ -4,10 +4,13 @@ Runs the paper's core comparison (a miniature Fig. 14 slice) on a
 uniform and a highly skewed workload and prints the throughput /
 latency / abort-rate table.
 
-Run:  python examples/smallbank_comparison.py
+Run:  python examples/smallbank_comparison.py [--quick]
+
+``--quick`` shrinks the bank and the epochs (CI smoke).
 """
 
 import random
+import sys
 
 from repro.experiments.tables import format_table
 from repro.workloads.distributions import make_distribution
@@ -28,9 +31,11 @@ FAMILIES = {
 PIPELINES = {"nt": 64, "pact": 64, "act": 16, "orleans": 16}
 
 
-def run_one(engine: str, skew: str) -> dict:
+def run_one(engine: str, skew: str, quick: bool = False) -> dict:
     runner = EngineRunner(engine, FAMILIES, seed=1)
-    distribution = make_distribution(skew, 2_000, runner.loop.rng)
+    distribution = make_distribution(
+        skew, 500 if quick else 2_000, runner.loop.rng
+    )
     workload = SmallBankWorkload(
         distribution, txn_size=4, rng=random.Random(7)
     )
@@ -39,8 +44,8 @@ def run_one(engine: str, skew: str) -> dict:
         workload.next_txn,
         num_clients=1,
         pipeline_size=PIPELINES[engine],
-        epochs=3,
-        epoch_duration=0.4,
+        epochs=2 if quick else 3,
+        epoch_duration=0.1 if quick else 0.4,
         warmup_epochs=1,
     )
     summary = result.metrics.summary()
@@ -55,11 +60,12 @@ def run_one(engine: str, skew: str) -> dict:
 
 
 def main() -> None:
+    quick = "--quick" in sys.argv[1:]
     rows = []
     for skew in ("uniform", "very_high"):
         for engine in ("nt", "pact", "act", "orleans"):
             print(f"running {engine} / {skew} ...")
-            rows.append(run_one(engine, skew))
+            rows.append(run_one(engine, skew, quick=quick))
     print()
     print(format_table(
         ["engine", "skew", "tps", "p50 ms", "p90 ms", "abort%"],

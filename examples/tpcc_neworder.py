@@ -5,23 +5,27 @@ customer / stock-partition / order-partition actors plus shared
 read-only item partitions — and runs NewOrder transactions as PACTs
 and as ACTs, printing throughput and the order books.
 
-Run:  python examples/tpcc_neworder.py
+Run:  python examples/tpcc_neworder.py [--quick]
+
+``--quick`` shortens the epochs (CI smoke).
 """
 
 import random
+import sys
 
 from repro.experiments.tables import format_table
 from repro.workloads.runner import EngineRunner, run_epochs
 from repro.workloads.tpcc import TpccLayout, TpccWorkload, tpcc_actor_families
 
 
-def run_engine(engine: str, layout: TpccLayout) -> dict:
+def run_engine(engine: str, layout: TpccLayout, quick: bool = False) -> dict:
     runner = EngineRunner(engine, tpcc_actor_families(), seed=5)
     workload = TpccWorkload(layout, rng=random.Random(9))
     result = run_epochs(
         runner, workload.next_txn,
         num_clients=1, pipeline_size=4 if engine == "act" else 16,
-        epochs=3, epoch_duration=0.3, warmup_epochs=1,
+        epochs=2 if quick else 3,
+        epoch_duration=0.1 if quick else 0.3, warmup_epochs=1,
     )
     summary = result.metrics.summary()
 
@@ -41,11 +45,12 @@ def run_engine(engine: str, layout: TpccLayout) -> dict:
 
 
 def main() -> None:
+    quick = "--quick" in sys.argv[1:]
     layout = TpccLayout(num_warehouses=2, order_partitions=10)
     rows = []
     for engine in ("pact", "act", "nt"):
         print(f"running TPC-C NewOrder under {engine} ...")
-        rows.append(run_engine(engine, layout))
+        rows.append(run_engine(engine, layout, quick=quick))
     print()
     print(format_table(
         ["engine", "tps", "p50 ms", "abort%", "orders inserted"],

@@ -77,12 +77,7 @@ class SiloConfig:
 
 
 class _Envelope:
-    """One in-flight invocation.
-
-    Envelopes are pooled per runtime: ``_run_turn`` reads the fields
-    into locals on entry and hands the shell back to the free list, so
-    a hot path allocates no envelope at all once the pool is warm.
-    """
+    """One in-flight invocation."""
 
     __slots__ = ("method", "args", "kwargs", "reply", "sent_at")
 
@@ -93,10 +88,6 @@ class _Envelope:
         self.kwargs = kwargs
         self.reply = reply
         self.sent_at = sent_at
-
-
-#: envelopes kept per runtime beyond which recycled shells are dropped.
-_ENVELOPE_POOL_CAP = 1024
 
 
 class _Activation:
@@ -167,8 +158,6 @@ class ActorRuntime:
         self.messages_delayed = 0
         self.messages_duplicated = 0
         self._rng = self.backend.rng
-        #: free list of envelope shells (see :class:`_Envelope`).
-        self._envelope_pool: list = []
         # obs instrument handles (attach_obs); None keeps the hot paths
         # at a single comparison when observability is off.
         self._obs_messages = None
@@ -244,7 +233,7 @@ class ActorRuntime:
             )
             return reply
         delay, destination, cross_silo = self._message_delay(target)
-        envelope = self._checkout_envelope(method, args, kwargs, reply)
+        envelope = _Envelope(method, args, kwargs, reply, self.backend.now)
         self.messages_sent += 1
         if self._obs_messages is not None:
             child = self._obs_msg_children.get(method)
@@ -283,9 +272,10 @@ class ActorRuntime:
                 delay, self._deliver, target, envelope,
                 silo=destination, cross_silo=cross_silo,
             )
-            copy = self._checkout_envelope(
+            copy = _Envelope(
                 method, args, kwargs,
                 self.backend.create_future(label=f"dup:{target}.{method}"),
+                self.backend.now,
             )
             self.backend.deliver(
                 delay + extra, self._deliver, target, copy,
@@ -296,25 +286,6 @@ class ActorRuntime:
                 f"unknown message-interceptor action {action!r}"
             )
         return reply
-
-    def _checkout_envelope(self, method: str, args: tuple, kwargs: dict,
-                           reply: Any) -> _Envelope:
-        pool = self._envelope_pool
-        if pool:
-            envelope = pool.pop()
-            envelope.method = method
-            envelope.args = args
-            envelope.kwargs = kwargs
-            envelope.reply = reply
-            envelope.sent_at = self.backend.now
-            return envelope
-        return _Envelope(method, args, kwargs, reply, self.backend.now)
-
-    def _recycle_envelope(self, envelope: _Envelope) -> None:
-        # drop payload references so recycled shells don't pin arguments
-        envelope.args = envelope.kwargs = envelope.reply = None
-        if len(self._envelope_pool) < _ENVELOPE_POOL_CAP:
-            self._envelope_pool.append(envelope)
 
     def _message_delay(self, target: ActorId) -> Tuple[float, int, bool]:
         """``(delay, destination silo, cross-silo?)`` for one message:
@@ -371,13 +342,8 @@ class ActorRuntime:
                         envelope: _Envelope) -> None:
         actor = activation.actor
         incarnation = actor.incarnation
-        # The envelope's job is done once the turn starts: read it into
-        # locals and return the shell to the pool before user code runs.
         method = envelope.method
-        args = envelope.args
-        kwargs = envelope.kwargs
         reply = envelope.reply
-        self._recycle_envelope(envelope)
         try:
             await self.cpu_of(actor_id).execute(self.config.cpu_per_dispatch)
             handler = getattr(actor, method, None)
@@ -385,7 +351,7 @@ class ActorRuntime:
                 raise UnknownActorMethodError(
                     f"{actor_id} has no method {method!r}"
                 )
-            result = await handler(*args, **kwargs)
+            result = await handler(*envelope.args, **envelope.kwargs)
         except GeneratorExit:  # interpreter teardown: never swallow
             raise
         except BaseException as exc:  # noqa: BLE001 - forwarded to caller

@@ -93,8 +93,10 @@ _MUTATORS = frozenset({
     "update", "setdefault", "add", "discard", "sort", "reverse",
 })
 #: paths allowed to import repro.sim internals (SNAP014): the kernel
-#: itself and the runtime seam that adapts it.
-_SIM_IMPORT_EXEMPT_RE = re.compile(r"repro[/\\](?:sim|runtime)[/\\]")
+#: itself and the two seam modules that adapt it.
+_SIM_IMPORT_EXEMPT_RE = re.compile(
+    r"repro[/\\](?:sim[/\\]|runtime[/\\](?:kernel|sim_backend)\.py$)"
+)
 #: paths allowed to call the submit_pact/submit_act shims (SNAP015):
 #: repro internals, where the shims themselves and their coverage live.
 _SUBMIT_SHIM_EXEMPT_RE = re.compile(r"repro[/\\]")
@@ -665,10 +667,12 @@ class ModuleLinter:
     def _check_sim_imports(self) -> None:
         """Flag ``repro.sim`` imports outside the kernel and the seam.
 
-        The simulation kernel itself (``repro/sim/**``) and the runtime
-        seam that wraps it (``repro/runtime/**`` — ``SimBackend`` is the
-        one sanctioned consumer) are exempt; everything else must stay
-        substrate-agnostic and dispatch through ``repro.runtime``.
+        The simulation kernel itself (``repro/sim/**``) and the two
+        seam modules that wrap it (``repro/runtime/kernel.py``, whose
+        default target it is, and ``repro/runtime/sim_backend.py``) are
+        exempt; everything else — the rest of ``repro/runtime``
+        included — must stay substrate-agnostic and dispatch through
+        ``repro.runtime``.
         Both module-level and function-local imports are flagged.
         """
         if _SIM_IMPORT_EXEMPT_RE.search(self.module.path):
@@ -688,7 +692,7 @@ class ModuleLinter:
                 self.emit(
                     "SNAP014", node,
                     f"direct import of simulation-kernel internals "
-                    f"({name!r}) outside repro.sim/repro.runtime pins "
+                    f"({name!r}) outside repro.sim and its seam pins "
                     f"this module to the DES substrate; dispatch "
                     f"through repro.runtime.kernel or a backend handle",
                 )

@@ -89,19 +89,7 @@ class SnapperConfig:
         snapshot_interval: Optional[float] = None,
         max_resident_actors: Optional[int] = None,
         wal_segment_bytes: Optional[int] = None,
-        **removed: Any,
     ):
-        if "wait_die" in removed:
-            raise TypeError(
-                "SnapperConfig(wait_die=...) was removed; pass "
-                "concurrency_control='wait_die' or "
-                "concurrency_control='timeout' instead"
-            )
-        if removed:
-            raise TypeError(
-                "unknown SnapperConfig option(s): "
-                + ", ".join(sorted(removed))
-            )
         if num_coordinators < 1:
             raise ValueError("need at least one coordinator")
         if act_tid_range < 1:
@@ -235,16 +223,6 @@ class SnapperConfig:
             raise ValueError("wal_segment_bytes must be >= 1")
         self.wal_segment_bytes = wal_segment_bytes
 
-    def __getattr__(self, name: str) -> Any:
-        if name == "wait_die":
-            raise AttributeError(
-                "SnapperConfig.wait_die was removed; read "
-                "config.concurrency_control instead"
-            )
-        raise AttributeError(
-            f"{type(self).__name__!s} object has no attribute {name!r}"
-        )
-
     # -- round-trip ---------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         """Snapshot every tunable as a plain mapping (declaration order)."""
@@ -254,6 +232,6 @@ class SnapperConfig:
     def from_dict(cls, data: Dict[str, Any]) -> "SnapperConfig":
         """Rebuild a config from a :meth:`to_dict`-style mapping.
 
-        Unknown keys raise the same clear ``TypeError`` the constructor
-        gives, so stale config files fail loudly."""
+        Unknown keys raise the constructor's ``TypeError``, so stale
+        config files fail loudly."""
         return cls(**dict(data))

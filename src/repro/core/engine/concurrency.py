@@ -12,7 +12,7 @@ lock table or the executors:
   because ACT-ACT deadlocks cannot form.
 * :class:`TimeoutOnly` — no victim selection; blocked requests burn the
   deadlock timeout before aborting.  This is what Orleans Transactions
-  does and what ``SnapperConfig(wait_die=False)`` used to select.
+  does.
 * :class:`NoWait` — abort immediately on any conflict.  The classic
   low-latency/high-abort extreme, useful as an ablation endpoint.
 * :class:`TwoPhaseLockingELR` — timeout waiting plus *early lock

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import copy
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Set
 
 from repro.persistence.records import (
@@ -76,27 +76,76 @@ class RecoveryResult:
     value a later snapshot of this state must carry.  ``replayed`` is
     the number of covered state records applied past the snapshot seed;
     with a fresh snapshot it is the bounded-recovery guarantee made
-    countable.
+    countable.  ``tail`` is the actor's in-doubt tail (see
+    :func:`in_doubt_tail`), found by the same scan.
     """
 
     state: Any
     frontier_lsn: int = -1
     replayed: int = 0
     snapshot: Optional[SnapshotRecord] = None
+    tail: List[Any] = field(default_factory=list)
 
 
-def recover_state(
-    actor_id: Any,
-    loggers: Any,
-    state: Any,
-    apply_delta: Callable[[Any, List[Any]], Any],
-) -> Any:
-    """Return ``state`` advanced to the last committed WAL image.
+class _WalScan:
+    """One pass over the WAL from one actor's point of view: the
+    machine-wide decisions, and the actor's own state records and
+    snapshots.  Recovery and the in-doubt tail both read from it."""
 
-    ``state`` is the actor's initial state; it is returned unchanged
-    when logging is disabled or no covered record exists.
-    """
-    return recover_state_ex(actor_id, loggers, state, apply_delta).state
+    def __init__(self, actor_id: Any, loggers: Any):
+        self.committed_bids: Set[int] = set()
+        self.aborted_bids: Set[int] = set()
+        self.committed_tids: Set[int] = set()
+        self.state_records: List[Any] = []
+        #: the actor's newest durable snapshot, by LSN.
+        self.snapshot: Optional[SnapshotRecord] = None
+        #: the highest frontier any of its snapshots carries.
+        self.snapshot_floor = -1
+        for record in loggers.all_records():
+            if isinstance(record, BatchCommitRecord):
+                self.committed_bids.add(record.bid)
+            elif isinstance(record, (ActCommitRecord, CoordCommitRecord)):
+                self.committed_tids.add(record.tid)
+            elif isinstance(record, (BatchCompleteRecord, ActPrepareRecord)):
+                if record.actor == actor_id and record.state is not None:
+                    self.state_records.append(record)
+            elif isinstance(record, BatchAbortRecord):
+                self.aborted_bids.add(record.bid)
+            elif isinstance(record, SnapshotRecord):
+                if record.actor == actor_id:
+                    if (self.snapshot is None
+                            or record.lsn > self.snapshot.lsn):
+                        self.snapshot = record
+                    self.snapshot_floor = max(
+                        self.snapshot_floor, record.frontier_lsn
+                    )
+
+    def covered(self, record: Any) -> bool:
+        """Is this state record's commit decision in the WAL?"""
+        if isinstance(record, BatchCompleteRecord):
+            return record.bid in self.committed_bids
+        return record.tid in self.committed_tids
+
+    def tail(self) -> List[Any]:
+        """Uncovered state records past the recovery point, minus votes
+        whose batch has a durable cascade-abort decision — those are not
+        doubt but garbage (a commit record for the same bid would have
+        made them covered: commit wins).  In LSN order."""
+        recovery_point = max(
+            (r.lsn for r in self.state_records if self.covered(r)),
+            default=-1,
+        )
+        recovery_point = max(recovery_point, self.snapshot_floor)
+        return sorted(
+            (
+                r for r in self.state_records
+                if r.lsn > recovery_point
+                and not self.covered(r)
+                and not (isinstance(r, BatchCompleteRecord)
+                         and r.bid in self.aborted_bids)
+            ),
+            key=lambda r: r.lsn,
+        )
 
 
 def recover_state_ex(
@@ -107,46 +156,28 @@ def recover_state_ex(
     *,
     use_snapshots: bool = True,
 ) -> RecoveryResult:
-    """:func:`recover_state`, plus the frontier/replay accounting the
-    snapshot subsystem needs.  ``use_snapshots=False`` forces the
+    """Advance ``state`` (the actor's initial state) to the last
+    committed WAL image, with the frontier/replay accounting the
+    snapshot subsystem needs and the in-doubt tail the same scan found.
+
+    ``state`` is returned unchanged when logging is disabled or no
+    covered record exists.  ``use_snapshots=False`` forces the
     replay-from-zero path (the chaos oracle's C8 baseline)."""
     if not loggers.enabled:
         return RecoveryResult(state)
-    committed_bids: Set[int] = set()
-    committed_tids: Set[int] = set()
-    state_records: List[Any] = []
-    snapshot: Optional[SnapshotRecord] = None
-    for record in loggers.all_records():
-        if isinstance(record, BatchCommitRecord):
-            committed_bids.add(record.bid)
-        elif isinstance(record, (ActCommitRecord, CoordCommitRecord)):
-            committed_tids.add(record.tid)
-        elif isinstance(record, BatchCompleteRecord):
-            if record.actor == actor_id and record.state is not None:
-                state_records.append(record)
-        elif isinstance(record, ActPrepareRecord):
-            if record.actor == actor_id and record.state is not None:
-                state_records.append(record)
-        elif isinstance(record, SnapshotRecord):
-            if use_snapshots and record.actor == actor_id:
-                if snapshot is None or record.lsn > snapshot.lsn:
-                    snapshot = record
+    scan = _WalScan(actor_id, loggers)
+    state_records = scan.state_records
+    snapshot = scan.snapshot if use_snapshots else None
+    tail = scan.tail()
     floor = snapshot.frontier_lsn if snapshot is not None else -1
     covered = sorted(
-        (
-            r for r in state_records
-            if r.lsn > floor
-            and ((isinstance(r, BatchCompleteRecord)
-                  and r.bid in committed_bids)
-                 or (isinstance(r, ActPrepareRecord)
-                     and r.tid in committed_tids))
-        ),
+        (r for r in state_records if r.lsn > floor and scan.covered(r)),
         key=lambda r: r.lsn,
     )
     if snapshot is not None:
         state = copy.deepcopy(snapshot.state)
     if not covered:
-        return RecoveryResult(state, floor, 0, snapshot)
+        return RecoveryResult(state, floor, 0, snapshot, tail)
     # start from the latest full-state record (if any), then replay
     # the delta records logged after it (incremental logging, §5.4.2);
     # a snapshot seed is itself a full base for an all-delta tail.
@@ -181,7 +212,9 @@ def recover_state_ex(
     for record in covered[base_index + 1:]:
         delta = copy.deepcopy(record.state[1])
         state = apply_delta(state, delta)
-    return RecoveryResult(state, covered[-1].lsn, len(covered), snapshot)
+    return RecoveryResult(
+        state, covered[-1].lsn, len(covered), snapshot, tail
+    )
 
 
 def in_doubt_tail(actor_id: Any, loggers: Any) -> List[Any]:
@@ -195,54 +228,13 @@ def in_doubt_tail(actor_id: Any, loggers: Any) -> List[Any]:
     uncovered record at or below the frontier predates a commit the
     actor later durably took, so its transaction is decided (it could
     only have aborted) — it is garbage, not doubt.
+
+    Activation takes the tail from :func:`recover_state_ex`'s result;
+    this entry point serves callers that want the tail alone.
     """
     if not loggers.enabled:
         return []
-    committed_bids: Set[int] = set()
-    aborted_bids: Set[int] = set()
-    committed_tids: Set[int] = set()
-    state_records: List[Any] = []
-    floor = -1
-    for record in loggers.all_records():
-        if isinstance(record, BatchCommitRecord):
-            committed_bids.add(record.bid)
-        elif isinstance(record, BatchAbortRecord):
-            aborted_bids.add(record.bid)
-        elif isinstance(record, (ActCommitRecord, CoordCommitRecord)):
-            committed_tids.add(record.tid)
-        elif isinstance(record, (BatchCompleteRecord, ActPrepareRecord)):
-            if record.actor == actor_id and record.state is not None:
-                state_records.append(record)
-        elif isinstance(record, SnapshotRecord):
-            if record.actor == actor_id:
-                floor = max(floor, record.frontier_lsn)
-
-    def covered(record: Any) -> bool:
-        if isinstance(record, BatchCompleteRecord):
-            return record.bid in committed_bids
-        return record.tid in committed_tids
-
-    def decided_abort(record: Any) -> bool:
-        # a vote whose batch has a durable cascade-abort decision is
-        # not doubt, it is garbage (a commit record for the same bid
-        # would have made it covered — commit wins).
-        return (
-            isinstance(record, BatchCompleteRecord)
-            and record.bid in aborted_bids
-        )
-
-    recovery_point = max(
-        (r.lsn for r in state_records if covered(r)), default=-1
-    )
-    recovery_point = max(recovery_point, floor)
-    return sorted(
-        (
-            r for r in state_records
-            if not covered(r) and not decided_abort(r)
-            and r.lsn > recovery_point
-        ),
-        key=lambda r: r.lsn,
-    )
+    return _WalScan(actor_id, loggers).tail()
 
 
 def _adopt(state: Any, record: Any,
@@ -272,7 +264,7 @@ async def resolve_in_doubt_tail(
     """2PC participant recovery: advance ``state`` through the actor's
     in-doubt tail as each record's commit decision resolves.
 
-    ``recover_state`` stops at the newest *covered* record, but the
+    ``recover_state_ex`` stops at the newest *covered* record, but the
     records past it are not garbage — they are prepared work whose
     decision was in flight when the actor crashed.  If such a
     transaction goes on to commit while the reactivated actor serves
@@ -299,8 +291,8 @@ async def resolve_in_doubt_tail(
     folded in) so the caller can track the committed frontier.
     """
     if tail is None:
-        # callers that already computed the tail (e.g. to report its
-        # length) pass it in; the WAL scan is a full-log walk.
+        # activation passes the tail its recovery scan already found;
+        # computing it here is another full-log walk.
         tail = in_doubt_tail(actor_id, loggers)
     if not tail:
         return state

@@ -9,9 +9,7 @@ timeout races — and delegates *policy* (what to do on conflict, whether
 waits are bounded) to a pluggable
 :class:`~repro.core.engine.concurrency.ConcurrencyControl` strategy:
 wait-die (the paper's §4.3.2 default), timeout-only (what Orleans
-Transactions uses), no-wait, or anything registered by name.  The old
-``wait_die=`` boolean constructor argument is kept as a shim that picks
-between the first two.
+Transactions uses), no-wait, or anything registered by name.
 """
 
 from __future__ import annotations
@@ -22,8 +20,6 @@ from typing import Deque, Dict, List, Optional, Set, Union
 from repro.core.context import AccessMode
 from repro.core.engine.concurrency import (
     ConcurrencyControl,
-    TimeoutOnly,
-    WaitDie,
     resolve_concurrency_control,
 )
 from repro.errors import AbortReason, DeadlockError, SimulationError
@@ -44,17 +40,10 @@ class ActorLock:
 
     def __init__(
         self,
-        cc: Union[ConcurrencyControl, str, bool, None] = None,
+        cc: Union[ConcurrencyControl, str, None] = None,
         label: str = "actor",
-        *,
-        wait_die: Optional[bool] = None,
     ):
-        if isinstance(cc, bool):  # legacy positional ActorLock(wait_die)
-            cc, wait_die = None, cc
-        if cc is None:
-            cc = WaitDie() if wait_die in (None, True) else TimeoutOnly()
-        elif wait_die is not None:
-            raise SimulationError("pass either a strategy or wait_die, not both")
+        #: ``None`` resolves to the default strategy, wait-die.
         self.cc = resolve_concurrency_control(cc)
         self.label = label
         self._holders: Dict[int, str] = {}  # tid -> mode held
@@ -65,11 +54,6 @@ class ActorLock:
         self.no_wait_aborts = 0
 
     # -- queries -----------------------------------------------------------
-    @property
-    def wait_die(self) -> bool:
-        """Legacy introspection: is the wait-die discipline in force?"""
-        return isinstance(self.cc, WaitDie)
-
     def held_by(self, tid: int) -> Optional[str]:
         return self._holders.get(tid)
 

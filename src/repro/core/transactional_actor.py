@@ -50,7 +50,6 @@ from repro.core.engine import (
 )
 from repro.core.engine.recovery import (
     DELTA_MARKER,
-    in_doubt_tail,
     resolve_in_doubt_tail,
 )
 from repro.core.locks import ActorLock
@@ -156,13 +155,12 @@ class TransactionalActor(Actor):
         # whose commit decision was still in flight when it crashed.
         # The runtime holds the inbox closed until on_activate returns,
         # so no transaction observes the actor mid-resolution.
-        tail = in_doubt_tail(self.id, self._loggers)
         if self._obs.enabled:
             self._obs.histogram(
                 "snapper_wal_indoubt_tail_count",
                 "Undecided records per actor reactivation (2PC recovery)",
                 buckets=(0, 1, 2, 4, 8, 16, 32, 64),
-            ).observe(len(tail))
+            ).observe(len(recovered.tail))
         self._state = await resolve_in_doubt_tail(
             self.id,
             self._loggers,
@@ -170,7 +168,7 @@ class TransactionalActor(Actor):
             self._state,
             self.apply_delta,
             timeout=self._config.batch_complete_timeout or 1.0,
-            tail=tail,
+            tail=recovered.tail,
             on_adopt=self._note_adopted,
         )
         self._committed_state = copy.deepcopy(self._state)

@@ -31,22 +31,13 @@ class Logger:
         io: Any,
         wal: Optional[WriteAheadLog] = None,
         group_commit: bool = True,
-        max_flush_bytes: Optional[int] = None,
     ):
         self.io = io
         self.wal = wal if wal is not None else WriteAheadLog()
         self.group_commit = group_commit
-        #: adaptive group-commit sizing: one flush takes records up to
-        #: this many bytes (always at least one), so the batch grows
-        #: with queue depth until a big write would make every joiner
-        #: pay its per-byte cost — then the queue splits across flushes
-        #: and early records commit after one base latency instead of
-        #: waiting out the whole backlog.  None = unbounded (take all).
-        self.max_flush_bytes = max_flush_bytes
         self._pending: List[Tuple[LogRecord, Any]] = []
         self._flushing = False
         self.records_persisted = 0
-        self.flush_splits = 0
         # obs handles, shared across the group (set by LoggerGroup).
         self._obs_appends = None
         self._obs_flushes = None
@@ -70,22 +61,8 @@ class Logger:
         if not self.group_commit:
             batch = [self._pending.pop(0)]
             return batch, batch[0][0].size_bytes()
-        budget = self.max_flush_bytes
-        if budget is None:
-            batch, self._pending = self._pending, []
-            return batch, sum(record.size_bytes() for record, _ in batch)
-        size = 0
-        taken = 0
-        for record, _ in self._pending:
-            record_size = record.size_bytes()
-            if taken and size + record_size > budget:
-                self.flush_splits += 1
-                break
-            size += record_size
-            taken += 1
-        batch = self._pending[:taken]
-        del self._pending[:taken]
-        return batch, size
+        batch, self._pending = self._pending, []
+        return batch, sum(record.size_bytes() for record, _ in batch)
 
     async def _flush_loop(self) -> None:
         try:
@@ -116,7 +93,6 @@ class LoggerGroup:
         io_base_latency: float = 125e-6,
         io_per_byte: float = 5e-9,
         group_commit: bool = True,
-        max_flush_bytes: Optional[int] = None,
         enabled: bool = True,
         cpu=None,
         cpu_per_record: float = 20e-6,
@@ -167,7 +143,6 @@ class LoggerGroup:
                     io_factory(io_base_latency, io_per_byte, label=f"log{i}"),
                     wal=wal,
                     group_commit=group_commit,
-                    max_flush_bytes=max_flush_bytes,
                 )
             )
         if log_dir is not None:

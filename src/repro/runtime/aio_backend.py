@@ -329,6 +329,11 @@ class AsyncioBackend:
         )
 
     # -- running ---------------------------------------------------------
+    def current_loop(self) -> "AsyncioBackend":
+        """While installed as the kernel target, the backend is its own
+        loop-ish handle (``now``, ``sleep``, ``call_later``, ``rng``)."""
+        return self
+
     def _drive(self, coro: Coroutine) -> Any:
         kernel.install(self)
         try:

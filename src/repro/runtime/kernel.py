@@ -1,17 +1,16 @@
-"""Free-function dispatch onto the installed runtime backend.
+"""Free-function dispatch onto the current runtime target.
 
 Library code (coordinators, engine layers, workloads, sync primitives)
 has no backend handle; it calls these module-level functions, exactly
-as it used to call ``repro.sim.loop``'s free functions.  Dispatch:
+as it used to call ``repro.sim.loop``'s free functions.  Every call
+goes through one module-level target:
 
-* while a backend is **installed** (an :class:`AsyncioBackend` installs
-  itself for the duration of ``run``/``run_until_complete``), calls go
-  to that backend;
-* otherwise they **fall back to the simulation kernel's own free
-  functions**, which resolve through ``repro.sim.loop``'s current-loop
-  global.  The fallback is what keeps the refactor bit-for-bit
-  invisible to the DES substrate: a raw ``SimLoop`` driven directly by
-  a test never needs a backend at all.
+* by default that target is the simulation kernel's own free functions,
+  which resolve through ``repro.sim.loop``'s current-loop global — so a
+  raw ``SimLoop`` driven directly by a test and a ``SimBackend`` run
+  (which never installs) take the same path;
+* an :class:`AsyncioBackend` installs itself as the target for the
+  duration of ``run``/``run_until_complete``.
 
 Components that must create futures or timers *outside* any run (e.g.
 ``SnapperSystem.start`` injecting the token before the first ``run``)
@@ -22,93 +21,76 @@ this module.
 from __future__ import annotations
 
 import asyncio as _asyncio
-from typing import TYPE_CHECKING, Any, Callable, Coroutine, Optional
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Any, Coroutine, Optional
 
 from repro.errors import CancelledError as _SimCancelled
+from repro.sim import loop as _sim
+from repro.sim.future import Future as _SimFuture
+from repro.sim.resources import IoDevice as _SimIoDevice
 
 #: exception types meaning "this task was cancelled" on either backend.
 CancelledErrors = (_SimCancelled, _asyncio.CancelledError)
 
-_current: Optional[Any] = None
+#: the default target: the slice of the backend surface this module
+#: dispatches to, served by the DES kernel's own free functions.
+_SIM = SimpleNamespace(
+    current_loop=_sim.current_loop,
+    sleep=_sim.sleep,
+    spawn=_sim.spawn,
+    gather=_sim.gather,
+    wait_for=_sim.wait_for,
+    create_future=_SimFuture,
+    io_device=_SimIoDevice,
+)
+_target: Any = _SIM
 
 
 def install(backend: Any) -> None:
     """Make ``backend`` the dispatch target (one at a time, like a loop)."""
-    global _current
-    _current = backend
+    global _target
+    _target = backend
 
 
 def uninstall(backend: Any) -> None:
-    global _current
-    if _current is backend:
-        _current = None
-
-
-def current_backend() -> Optional[Any]:
-    """The installed backend, or None when running on the sim fallback."""
-    return _current
+    """Restore the simulation kernel as the target."""
+    global _target
+    if _target is backend:
+        _target = _SIM
 
 
 def current_loop() -> Any:
     """The installed backend, or the running ``SimLoop``.
 
-    Both expose the loop-ish surface library code touches: ``now``,
-    ``sleep``, ``call_later``, ``create_task``, ``rng``.
+    Both expose the loop-ish surface library code touches: the clock,
+    timers, task creation and the seeded ``rng``.
     """
-    if _current is not None:
-        return _current
-    from repro.sim.loop import current_loop as _sim_current_loop
-
-    return _sim_current_loop()
+    return _target.current_loop()
 
 
 def now() -> float:
-    if _current is not None:
-        return _current.now
-    from repro.sim.loop import now as _sim_now
-
-    return _sim_now()
+    return _target.current_loop().now
 
 
 def sleep(delay: float) -> Any:
-    if _current is not None:
-        return _current.sleep(delay)
-    from repro.sim.loop import sleep as _sim_sleep
-
-    return _sim_sleep(delay)
+    return _target.sleep(delay)
 
 
 def spawn(coro: Coroutine, label: str = "") -> Any:
-    if _current is not None:
-        return _current.spawn(coro, label=label)
-    from repro.sim.loop import spawn as _sim_spawn
-
-    return _sim_spawn(coro, label=label)
+    return _target.spawn(coro, label=label)
 
 
 def gather(*awaitables: Any) -> Any:
-    if _current is not None:
-        return _current.gather(*awaitables)
-    from repro.sim.loop import gather as _sim_gather
-
-    return _sim_gather(*awaitables)
+    return _target.gather(*awaitables)
 
 
 def wait_for(awaitable: Any, timeout: float, message: str = "timeout"):
-    if _current is not None:
-        return _current.wait_for(awaitable, timeout, message=message)
-    from repro.sim.loop import wait_for as _sim_wait_for
-
-    return _sim_wait_for(awaitable, timeout, message=message)
+    return _target.wait_for(awaitable, timeout, message=message)
 
 
 def _future_factory(label: str = "") -> Any:
-    """Create a backend-appropriate future."""
-    if _current is not None:
-        return _current.create_future(label)
-    from repro.sim.future import Future as _SimFuture
-
-    return _SimFuture(label=label)
+    """Create a target-appropriate future."""
+    return _target.create_future(label)
 
 
 if TYPE_CHECKING:
@@ -120,35 +102,6 @@ if TYPE_CHECKING:
 else:
     Future = _future_factory
 
-#: explicit-name alias for new code.
-create_future = _future_factory
-
-
-def call_later(delay: float, callback: Callable, *args: Any) -> None:
-    if _current is not None:
-        _current.call_later(delay, callback, *args)
-        return
-    from repro.sim.loop import current_loop as _sim_current_loop
-
-    _sim_current_loop().call_later(delay, callback, *args)
-
-
-def call_clamped(when: float, callback: Callable, *args: Any) -> None:
-    if _current is not None:
-        _current.call_clamped(when, callback, *args)
-        return
-    from repro.sim.loop import current_loop as _sim_current_loop
-
-    _sim_current_loop().call_clamped(when, callback, *args)
-
-
-def cpu_pool(cores: int, label: str = "cpu") -> Any:
-    if _current is not None:
-        return _current.cpu_pool(cores, label=label)
-    from repro.sim.resources import CpuPool as _SimCpuPool
-
-    return _SimCpuPool(cores, label=label)
-
 
 def io_device(
     base_latency: float,
@@ -156,12 +109,6 @@ def io_device(
     label: str = "disk",
     bandwidth_cap: Optional[float] = None,
 ) -> Any:
-    if _current is not None:
-        return _current.io_device(
-            base_latency, per_byte, label=label, bandwidth_cap=bandwidth_cap
-        )
-    from repro.sim.resources import IoDevice as _SimIoDevice
-
-    return _SimIoDevice(
+    return _target.io_device(
         base_latency, per_byte, label=label, bandwidth_cap=bandwidth_cap
     )

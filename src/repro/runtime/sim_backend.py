@@ -1,17 +1,17 @@
 """``SimBackend``: the DES kernel behind the runtime-backend seam.
 
-This module is the *only* place outside :mod:`repro.sim` itself allowed
-to import simulation internals (lint rule SNAP014 enforces the
-boundary).  It is a thin adapter: every method delegates to the exact
-``SimLoop`` primitive the engine called before the refactor, so a run
-through ``SimBackend`` is bit-for-bit identical to a run against a raw
-``SimLoop`` — the determinism tests in
+This module and :mod:`repro.runtime.kernel` are the only places outside
+:mod:`repro.sim` itself allowed to import simulation internals (lint
+rule SNAP014 enforces the boundary).  It is a thin adapter: every method
+delegates to the exact ``SimLoop`` primitive the engine called before
+the refactor, so a run through ``SimBackend`` is bit-for-bit identical
+to a run against a raw ``SimLoop`` — the determinism tests in
 ``tests/test_runtime_differential.py`` pin that.
 
-``SimBackend`` never installs itself into the kernel dispatch
-(:mod:`repro.runtime.kernel`): while a ``SimLoop`` runs it publishes
-itself as the sim-current loop, and the kernel's fallback path resolves
-through that global — the same code path raw-``SimLoop`` tests use.
+``SimBackend`` never installs itself into the kernel dispatch: while a
+``SimLoop`` runs it publishes itself as the sim-current loop, and the
+kernel's default target resolves through that global — the same code
+path raw-``SimLoop`` tests use.
 """
 
 from __future__ import annotations

@@ -12,9 +12,8 @@ Public surface:
 * :class:`SimLoop` — the event loop; :func:`current_loop`, :func:`now`.
 * :class:`Future`, :class:`Task` — awaitables driven by the loop.
 * :func:`sleep`, :func:`spawn`, :func:`gather`, :func:`wait_for`.
-* Sync primitives: :class:`Lock`, :class:`Semaphore`, :class:`Event`,
-  :class:`Queue`, :class:`Condition`.
-* Hardware models: :class:`CpuPool`, :class:`IoDevice`.
+* Hardware models: :class:`CpuPool`, :class:`IoDevice`, and the FIFO
+  :class:`Semaphore` they queue on.
 """
 
 from repro.sim.future import Future
@@ -27,8 +26,7 @@ from repro.sim.loop import (
     spawn,
     wait_for,
 )
-from repro.sim.resources import CpuPool, IoDevice
-from repro.sim.sync import Condition, Event, Lock, Queue, Semaphore
+from repro.sim.resources import CpuPool, IoDevice, Semaphore
 from repro.sim.task import Task
 
 __all__ = [
@@ -41,11 +39,7 @@ __all__ = [
     "spawn",
     "gather",
     "wait_for",
-    "Lock",
     "Semaphore",
-    "Event",
-    "Queue",
-    "Condition",
     "CpuPool",
     "IoDevice",
 ]

@@ -1,21 +1,79 @@
 """Hardware cost models: CPU cores and storage devices.
 
-These two classes substitute for the paper's AWS testbed (§5.1.2).  A
+Two classes substitute for the paper's AWS testbed (§5.1.2).  A
 :class:`CpuPool` with *n* slots models an *n*-core silo: every unit of
 simulated work must hold a core for its service time, so aggregate
 throughput is capped at ``n / mean_service_time`` exactly as a real silo's
 is.  An :class:`IoDevice` models one log file on the SSD: writes are
 serialized and each flush costs a base latency plus a per-byte charge,
 which is what makes group commit (batched flushes) profitable — the effect
-Fig. 12's "CC + Logging" bars hinge on.
+Fig. 12's "CC + Logging" bars hinge on.  Both queue their work on the
+FIFO :class:`Semaphore` defined here, its only user.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from collections import deque
+from typing import Deque, Optional
 
+from repro.sim.future import Future
 from repro.sim.loop import current_loop
-from repro.sim.sync import Semaphore
+
+
+class Semaphore:
+    """A counting semaphore with strictly FIFO waiters: released in
+    arrival order, which keeps the simulation deterministic."""
+
+    def __init__(self, value: int, label: str = "sem"):
+        if value < 0:
+            raise ValueError("semaphore value must be >= 0")
+        self._value = value
+        self._waiters: Deque[Future] = deque()
+        self.label = label
+
+    @property
+    def value(self) -> int:
+        return self._value
+
+    @property
+    def waiting(self) -> int:
+        return sum(1 for w in self._waiters if not w.done())
+
+    async def acquire(self) -> None:
+        if self._value > 0 and not self._waiters:
+            self._value -= 1
+            return
+        fut = Future(label=f"{self.label}.acquire")
+        self._waiters.append(fut)
+        try:
+            await fut
+        except BaseException:
+            # Cancelled while queued.  Mark the waiter done so
+            # ``release`` skips it — otherwise a grant lands on a
+            # future nobody consumes and the permit leaks forever
+            # (e.g. a CPU slot lost per turn task killed mid-queue).
+            if fut.done() and not fut.cancelled():
+                # The grant raced the cancellation: pass it on.
+                self.release()
+            else:
+                fut.cancel(f"{self.label}.acquire abandoned")
+            raise
+
+    def release(self) -> None:
+        while self._waiters:
+            waiter = self._waiters.popleft()
+            if waiter.done():  # cancelled while queued
+                continue
+            waiter.set_result(None)
+            return
+        self._value += 1
+
+    async def __aenter__(self) -> "Semaphore":
+        await self.acquire()
+        return self
+
+    async def __aexit__(self, *exc_info) -> None:
+        self.release()
 
 
 class CpuPool:

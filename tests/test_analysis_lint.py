@@ -107,12 +107,18 @@ def test_repo_sources_lint_clean():
 def test_snap014_exempts_kernel_and_seam_paths():
     source = "from repro.sim.loop import SimLoop\n"
     for exempt in (
-        "src/repro/sim/sync.py",
+        "src/repro/sim/resources.py",
+        "src/repro/runtime/kernel.py",
         "src/repro/runtime/sim_backend.py",
     ):
         assert lint_source(source, exempt) == []
-    findings = lint_source(source, "src/repro/core/engine/act.py")
-    assert [f.rule_id for f in findings] == ["SNAP014"]
+    for guarded in (
+        "src/repro/core/engine/act.py",
+        "src/repro/runtime/sync.py",
+        "src/repro/runtime/aio_backend.py",
+    ):
+        findings = lint_source(source, guarded)
+        assert [f.rule_id for f in findings] == ["SNAP014"]
 
 
 def test_snap014_flags_local_and_plain_imports():

@@ -1,10 +1,10 @@
 """Concurrency-control strategy selection and the ablation it enables.
 
 Covers the pluggable :class:`ConcurrencyControl` layer: name-based
-selection through ``SnapperConfig``, the removed config-level
-``wait_die`` boolean (clear errors name the replacement), the lock-level
-boolean shim, and — the point of the ablation — that
-swapping the strategy name actually changes end-to-end abort behavior.
+selection through ``SnapperConfig``, the removed ``wait_die`` booleans
+(config- and lock-level: both now fail with Python's own errors), and —
+the point of the ablation — that swapping the strategy name actually
+changes end-to-end abort behavior.
 """
 
 import pytest
@@ -23,7 +23,6 @@ from repro.core.engine.concurrency import (
     resolve_concurrency_control,
 )
 from repro.core.locks import ActorLock
-from repro.errors import SimulationError
 from repro.sim import gather, spawn
 
 from tests.conftest import build_system
@@ -61,14 +60,14 @@ def test_config_selects_strategy_by_name():
 
 
 def test_config_wait_die_flag_is_gone():
-    with pytest.raises(TypeError, match="concurrency_control"):
+    with pytest.raises(TypeError, match="wait_die"):
         SnapperConfig(wait_die=False)
-    with pytest.raises(AttributeError, match="concurrency_control"):
+    with pytest.raises(AttributeError, match="wait_die"):
         SnapperConfig().wait_die
 
 
 def test_config_unknown_option_and_positional_args_rejected():
-    with pytest.raises(TypeError, match="unknown SnapperConfig option"):
+    with pytest.raises(TypeError, match="num_cordinators"):
         SnapperConfig(num_cordinators=2)  # typo'd key fails loudly
     with pytest.raises(TypeError):
         SnapperConfig(2)  # every tunable is keyword-only
@@ -87,14 +86,14 @@ def test_config_dict_round_trip():
 
 
 def test_actor_lock_boolean_shim():
-    assert isinstance(ActorLock(wait_die=True).cc, WaitDie)
-    assert isinstance(ActorLock(wait_die=False).cc, TimeoutOnly)
+    """The shim is gone: a lock takes a strategy (default wait-die),
+    and a boolean in either position fails loudly."""
     assert isinstance(ActorLock().cc, WaitDie)
-    # positional boolean (legacy call sites) still means wait_die
-    assert isinstance(ActorLock(False).cc, TimeoutOnly)
     assert isinstance(ActorLock(NoWait()).cc, NoWait)
-    with pytest.raises(SimulationError):
-        ActorLock(WaitDie(), wait_die=True)
+    with pytest.raises(TypeError):
+        ActorLock(wait_die=True)
+    with pytest.raises(TypeError):
+        ActorLock(False)
 
 
 # -- the ablation: strategy choice changes abort behavior ---------------------

@@ -1,7 +1,7 @@
 """Recovery properties: crash-at-every-LSN, delta chains, in-doubt tails.
 
 The crash-at-every-LSN test is the core property: whatever prefix of the
-WAL a crash leaves behind, the production ``recover_state`` must
+WAL a crash leaves behind, the production ``recover_state_ex`` must
 reconstruct a committed-consistent deployment — atomic per transaction,
 money conserved, balances derivable from the applied markers.
 """
@@ -21,7 +21,7 @@ from repro.core.engine.recovery import (
     DELTA_MARKER,
     RecoveryWarning,
     in_doubt_tail,
-    recover_state,
+    recover_state_ex,
     resolve_in_doubt_tail,
 )
 from repro.core.system import SnapperSystem
@@ -97,11 +97,11 @@ def test_recover_state_is_consistent_at_every_wal_prefix():
         commit_tids = {r.tid for r in records[:cut]
                        if isinstance(r, ActCommitRecord)}
         states = {
-            aid: recover_state(
+            aid: recover_state_ex(
                 aid, prefix,
                 {"balance": INITIAL_BALANCE, "applied": {}},
                 _raise_on_delta,
-            )
+            ).state
             for aid in actor_ids
         }
         # conservation at every cut
@@ -144,7 +144,7 @@ def test_uncovered_records_are_ignored():
         BatchCompleteRecord(bid=1, actor=aid, state=10.0),
         ActPrepareRecord(tid=2, actor=aid, state=20.0),
     ], stamp=True)
-    assert recover_state(aid, log, 0.0, _raise_on_delta) == 0.0
+    assert recover_state_ex(aid, log, 0.0, _raise_on_delta).state == 0.0
 
 
 def test_latest_covered_record_wins_by_lsn():
@@ -155,7 +155,7 @@ def test_latest_covered_record_wins_by_lsn():
         ActPrepareRecord(tid=2, actor=aid, state=20.0),
         ActCommitRecord(tid=2, actor=aid),
     ], stamp=True)
-    assert recover_state(aid, log, 0.0, _raise_on_delta) == 20.0
+    assert recover_state_ex(aid, log, 0.0, _raise_on_delta).state == 20.0
 
 
 def test_delta_records_replay_onto_covered_base():
@@ -171,7 +171,7 @@ def test_delta_records_replay_onto_covered_base():
         state.extend(delta)
         return state
 
-    assert recover_state(aid, log, [], apply_delta) == [1, 2, 3]
+    assert recover_state_ex(aid, log, [], apply_delta).state == [1, 2, 3]
 
 
 def test_covered_delta_without_base_warns():
@@ -189,7 +189,7 @@ def test_covered_delta_without_base_warns():
         return state
 
     with pytest.warns(RecoveryWarning):
-        recovered = recover_state(aid, log, [], apply_delta)
+        recovered = recover_state_ex(aid, log, [], apply_delta).state
     assert recovered == [3]  # replayed from the initial state
 
 
@@ -207,7 +207,7 @@ def test_delta_chain_from_birth_does_not_warn():
     import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("error", RecoveryWarning)
-        assert recover_state(aid, log, [], apply_delta) == [1]
+        assert recover_state_ex(aid, log, [], apply_delta).state == [1]
 
 
 # ---------------------------------------------------------------------------

@@ -53,20 +53,23 @@ def test_multiserver_deployment_example():
 
 @pytest.mark.slow
 def test_hybrid_workload_example():
-    result = run_example("hybrid_workload.py", timeout=600)
+    result = run_example("hybrid_workload.py", timeout=600,
+                         args=("--quick",))
     assert result.returncode == 0, result.stderr
     assert "abort breakdown" in result.stdout
 
 
 @pytest.mark.slow
 def test_tpcc_example():
-    result = run_example("tpcc_neworder.py", timeout=900)
+    result = run_example("tpcc_neworder.py", timeout=900,
+                         args=("--quick",))
     assert result.returncode == 0, result.stderr
     assert "orders inserted" in result.stdout
 
 
 @pytest.mark.slow
 def test_smallbank_comparison_example():
-    result = run_example("smallbank_comparison.py", timeout=900)
+    result = run_example("smallbank_comparison.py", timeout=900,
+                         args=("--quick",))
     assert result.returncode == 0, result.stderr
     assert "engine" in result.stdout

@@ -21,6 +21,9 @@ from repro.experiments.settings import ExperimentScale, print_settings
 
 TINY = ExperimentScale("tiny", num_actors=500, epochs=2, epoch_duration=0.1,
                        warmup_epochs=1)
+#: the ablation sweep is 19 engine runs: row names only, at a smaller scale.
+SMOKE = ExperimentScale("smoke", num_actors=200, epochs=2,
+                        epoch_duration=0.03, warmup_epochs=1)
 
 
 def test_format_table_alignment():
@@ -113,7 +116,7 @@ def test_fig17_rows_complete():
 
 
 def test_ablations_rows_complete():
-    rows = ablations.run(TINY)
+    rows = ablations.run(SMOKE)
     names = {r["ablation"] for r in rows}
     assert {"coordinators", "batching(high skew)", "group commit",
             "incomplete-AS opt", "wait-die", "tpcc order logging"} <= names

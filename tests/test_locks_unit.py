@@ -4,6 +4,7 @@ import pytest
 
 from repro import sim
 from repro.core.context import AccessMode
+from repro.core.engine.concurrency import TimeoutOnly
 from repro.core.locks import ActorLock
 from repro.errors import DeadlockError
 from repro.sim import SimLoop
@@ -90,7 +91,7 @@ def test_upgrade_read_to_write_when_sole_holder():
 
 
 def test_timeout_mode_aborts_after_deadline():
-    lock = ActorLock(wait_die=False)
+    lock = ActorLock(TimeoutOnly())
 
     async def main():
         await lock.acquire(10, AccessMode.READ_WRITE)
@@ -104,7 +105,7 @@ def test_timeout_mode_aborts_after_deadline():
 
 
 def test_fifo_grant_order_on_release():
-    lock = ActorLock(wait_die=False)
+    lock = ActorLock(TimeoutOnly())
     order = []
 
     async def grab(tid):
@@ -124,7 +125,7 @@ def test_fifo_grant_order_on_release():
 
 
 def test_release_grants_multiple_readers_at_once():
-    lock = ActorLock(wait_die=False)
+    lock = ActorLock(TimeoutOnly())
 
     async def main():
         await lock.acquire(1, AccessMode.READ_WRITE)
@@ -139,7 +140,7 @@ def test_release_grants_multiple_readers_at_once():
 
 
 def test_abort_waiter_evicts_queued_request():
-    lock = ActorLock(wait_die=False)
+    lock = ActorLock(TimeoutOnly())
 
     async def main():
         await lock.acquire(1, AccessMode.READ_WRITE)
@@ -155,7 +156,7 @@ def test_abort_waiter_evicts_queued_request():
 
 def test_writer_queued_behind_reader_blocks_new_reader():
     """FIFO fairness: late readers don't starve a queued writer."""
-    lock = ActorLock(wait_die=False)
+    lock = ActorLock(TimeoutOnly())
 
     async def main():
         await lock.acquire(1, AccessMode.READ)

@@ -142,45 +142,6 @@ def test_group_commit_amortizes_flushes():
     assert solo_flushes == 20
 
 
-def test_group_commit_flush_byte_budget_splits_batches():
-    record_size = BatchCommitRecord(bid=0).size_bytes()
-
-    def run(max_flush_bytes):
-        loop = SimLoop()
-        logger = Logger(
-            IoDevice(base_latency=0.005, per_byte=0.0),
-            max_flush_bytes=max_flush_bytes,
-        )
-
-        async def main():
-            await sim.gather(
-                *[
-                    sim.spawn(logger.persist(BatchCommitRecord(bid=i)))
-                    for i in range(20)
-                ]
-            )
-
-        loop.run_until_complete(main())
-        return logger
-
-    capped = run(2 * record_size)
-    # 20 queued records, 2 per flush: 10 flushes, 9 of them split points
-    assert capped.io.flushes == 10
-    assert capped.flush_splits == 9
-    # FIFO order survives the slicing
-    assert [r.bid for r in capped.wal.scan()] == list(range(20))
-
-    uncapped = run(None)
-    assert uncapped.io.flushes == 1
-    assert uncapped.flush_splits == 0
-    assert [r.bid for r in uncapped.wal.scan()] == list(range(20))
-
-    # a budget smaller than one record still makes progress, one at a time
-    tiny = run(1)
-    assert tiny.io.flushes == 20
-    assert [r.bid for r in tiny.wal.scan()] == list(range(20))
-
-
 def test_logger_group_stable_assignment():
     group = LoggerGroup(num_loggers=4)
     for actor in ("a", "b", "c", 1, 2, 3):

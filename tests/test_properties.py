@@ -6,6 +6,7 @@ import pytest
 
 from repro import sim
 from repro.core.context import AccessMode, SubBatch, TxnExeInfo
+from repro.core.engine.concurrency import WaitDie
 from repro.core.locks import ActorLock
 from repro.core.registry import CommitRegistry
 from repro.core.schedule import LocalSchedule
@@ -105,7 +106,7 @@ def test_registry_commit_waiters_resolve_in_bid_order(start_order):
 @settings(max_examples=40, deadline=None)
 def test_lock_wait_die_always_terminates(requests):
     loop = SimLoop()
-    lock = ActorLock(wait_die=True)
+    lock = ActorLock(WaitDie())
     outcomes = []
 
     async def txn(tid, write):

@@ -1,7 +1,8 @@
 """Unit tests for the runtime-backend seam (repro.runtime).
 
-Covers backend construction/coercion, the kernel dispatch fallback,
-AioFuture's sim-future semantics, the duplex-stream transport, and the
+Covers backend construction/coercion, the kernel dispatch target,
+the ``Condition`` variable on both backends, AioFuture's
+sim-future semantics, the duplex-stream transport, and the
 engine end-to-end on the asyncio substrate (single- and multi-silo).
 """
 
@@ -18,6 +19,7 @@ from repro.runtime import kernel
 from repro.runtime.aio import AioFuture
 from repro.runtime.aio_backend import AsyncioBackend
 from repro.runtime.sim_backend import SimBackend
+from repro.runtime.sync import Condition
 from repro.sim.loop import SimLoop
 from repro.workloads.smallbank import SnapperAccountActor
 
@@ -60,23 +62,49 @@ class TestBackendConstruction:
 
 class TestKernelDispatch:
     def test_fallback_uses_sim_loop(self):
-        loop = SimLoop(seed=0)
-        seen = []
+        """``kernel.spawn/now/Future`` resolve through whichever target
+        is current: the sim kernel under a raw ``SimLoop`` and under a
+        ``SimBackend`` run (which never installs), the backend while an
+        ``AsyncioBackend`` drives, and the sim kernel again after it
+        uninstalls."""
+        from repro.sim.future import Future as SimFuture
+        from repro.sim.task import Task as SimTask
+
         async def main():
-            assert kernel.current_backend() is None
-            seen.append(kernel.now())
-            await kernel.sleep(0.25)
-            seen.append(kernel.now())
-        loop.run_until_complete(main())
-        assert seen == [0.0, 0.25]
+            started = kernel.now()
+            async def child():
+                await kernel.sleep(0.25)
+                return kernel.now() - started
+            task = kernel.spawn(child())
+            fut = kernel.Future(label="x")
+            fut.set_result(await task)
+            return type(task), type(fut), await fut
+
+        aio = AsyncioBackend(seed=0, transport=False)
+        try:
+            for run, task_type, future_type in (
+                (SimLoop(seed=0).run_until_complete, SimTask, SimFuture),
+                (SimBackend(seed=0).run_until_complete, SimTask, SimFuture),
+                (aio.run_until_complete, asyncio.Task, AioFuture),
+                (SimLoop(seed=0).run_until_complete, SimTask, SimFuture),
+            ):
+                spawned, made, elapsed = run(main())
+                assert spawned is task_type
+                assert made is future_type
+                if future_type is SimFuture:
+                    assert elapsed == 0.25   # virtual time: exact
+                else:
+                    assert elapsed >= 0.25   # wall clock
+        finally:
+            aio.close()
 
     def test_future_factory_matches_substrate(self):
         from repro.sim.future import Future as SimFuture
-        assert isinstance(kernel.create_future("x"), SimFuture)
+        assert isinstance(kernel.Future(label="x"), SimFuture)
         backend = AsyncioBackend(seed=0, transport=False)
         kernel.install(backend)
         try:
-            assert isinstance(kernel.create_future("x"), AioFuture)
+            assert isinstance(kernel.Future(label="x"), AioFuture)
         finally:
             kernel.uninstall(backend)
             backend.close()
@@ -84,10 +112,98 @@ class TestKernelDispatch:
     def test_install_is_scoped_to_run(self):
         backend = AsyncioBackend(seed=0, transport=False)
         async def probe():
-            return kernel.current_backend()
+            return kernel.current_loop()
         assert backend.run_until_complete(probe()) is backend
-        assert kernel.current_backend() is None
+        with pytest.raises(SimulationError):
+            kernel.current_loop()  # back on the sim kernel: no loop runs
         backend.close()
+
+
+@pytest.fixture(params=BACKENDS)
+def backend(request):
+    backend = create_backend(request.param, seed=0)
+    yield backend
+    backend.close()
+
+
+class TestCondition:
+    """``repro.runtime.sync.Condition`` on both substrates."""
+
+    #: a wall-clock timer may fire a clock-resolution early.
+    SLACK = 1e-3
+
+    def test_notify_all_wakes_every_waiter(self, backend):
+        cond = Condition()
+        woken = []
+
+        async def waiter(tag):
+            await cond.wait()
+            woken.append(tag)
+
+        async def main():
+            tasks = [kernel.spawn(waiter(tag)) for tag in range(3)]
+            await kernel.sleep(0.01)
+            assert woken == []
+            cond.notify_all()
+            await kernel.gather(*tasks)
+
+        backend.run_until_complete(main())
+        assert woken == [0, 1, 2]  # FIFO, arrival order
+
+    def test_wait_until_returns_when_predicate_flips(self, backend):
+        cond = Condition()
+        flag = []
+
+        async def main():
+            async def flip():
+                await kernel.sleep(0.01)
+                cond.notify_all()      # spurious: predicate still false
+                await kernel.sleep(0.01)
+                flag.append(True)
+                cond.notify_all()
+            kernel.spawn(flip())
+            await cond.wait_until(lambda: bool(flag))
+            return kernel.now()
+
+        assert backend.run_until_complete(main()) >= 0.02 - self.SLACK
+        assert flag == [True]
+
+    def test_wait_until_timeout_raises(self, backend):
+        cond = Condition(label="never")
+
+        async def main():
+            with pytest.raises(TimeoutError, match="never"):
+                await cond.wait_until(lambda: False, timeout=0.02)
+            return kernel.now()
+
+        assert backend.run_until_complete(main()) >= 0.02 - self.SLACK
+
+    def test_notify_racing_timeout(self, backend):
+        """A notify that leaves the predicate false does not extend the
+        deadline; a predicate already true when the timer wins the race
+        is a return, not a timeout."""
+        cond = Condition()
+        flag = []
+
+        async def main():
+            async def spurious():
+                await kernel.sleep(0.1)
+                cond.notify_all()
+            kernel.spawn(spurious())
+            started = kernel.now()
+            with pytest.raises(TimeoutError):
+                await cond.wait_until(lambda: False, timeout=0.15)
+            elapsed = kernel.now() - started
+            assert 0.15 - self.SLACK <= elapsed < 0.25   # not 0.1 + 0.15
+
+            async def flip_silently():
+                await kernel.sleep(0.01)
+                flag.append(True)          # no notify: only the timer fires
+            kernel.spawn(flip_silently())
+            await cond.wait_until(lambda: bool(flag), timeout=0.02)
+
+        backend.run_until_complete(main())
+        assert flag == [True]
 
 
 class TestAioFuture:

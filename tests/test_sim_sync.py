@@ -1,30 +1,9 @@
-"""Tests for simulation synchronization primitives and hardware models."""
+"""Tests for the simulation's semaphore and hardware models."""
 
 import pytest
 
 from repro import sim
-from repro.sim import CpuPool, Event, IoDevice, Lock, Queue, Semaphore, SimLoop
-
-
-def test_lock_is_mutually_exclusive():
-    loop = SimLoop()
-    lock = Lock()
-    active = [0]
-    max_active = [0]
-
-    async def worker():
-        async with lock:
-            active[0] += 1
-            max_active[0] = max(max_active[0], active[0])
-            await sim.sleep(1)
-            active[0] -= 1
-
-    async def main():
-        await sim.gather(*[sim.spawn(worker()) for _ in range(5)])
-
-    loop.run_until_complete(main())
-    assert max_active[0] == 1
-    assert loop.now == 5.0  # fully serialized
+from repro.sim import CpuPool, IoDevice, Semaphore, SimLoop
 
 
 def test_semaphore_allows_up_to_n():
@@ -68,57 +47,6 @@ def test_semaphore_fifo_order():
 
     loop.run_until_complete(main())
     assert order == [0, 1, 2, 3]
-
-
-def test_event_releases_all_waiters():
-    loop = SimLoop()
-    event = Event()
-    released = []
-
-    async def waiter(tag):
-        await event.wait()
-        released.append(tag)
-
-    async def main():
-        tasks = [sim.spawn(waiter(i)) for i in range(3)]
-        await sim.sleep(2)
-        assert released == []
-        event.set()
-        await sim.gather(*tasks)
-        # late waiters pass straight through
-        await event.wait()
-
-    loop.run_until_complete(main())
-    assert sorted(released) == [0, 1, 2]
-
-
-def test_queue_put_get():
-    loop = SimLoop()
-    queue = Queue()
-    got = []
-
-    async def consumer():
-        for _ in range(3):
-            got.append(await queue.get())
-
-    async def main():
-        task = sim.spawn(consumer())
-        queue.put("a")
-        await sim.sleep(1)
-        queue.put("b")
-        queue.put("c")
-        await task
-
-    loop.run_until_complete(main())
-    assert got == ["a", "b", "c"]
-
-
-def test_queue_get_nowait_raises_when_empty():
-    queue = Queue()
-    with pytest.raises(IndexError):
-        queue.get_nowait()
-    queue.put(1)
-    assert queue.get_nowait() == 1
 
 
 def test_cpu_pool_caps_throughput():
