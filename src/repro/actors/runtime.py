@@ -79,15 +79,13 @@ class SiloConfig:
 class _Envelope:
     """One in-flight invocation."""
 
-    __slots__ = ("method", "args", "kwargs", "reply", "sent_at")
+    __slots__ = ("method", "args", "kwargs", "reply")
 
-    def __init__(self, method: str, args: tuple, kwargs: dict, reply: Any,
-                 sent_at: float):
+    def __init__(self, method: str, args: tuple, kwargs: dict, reply: Any):
         self.method = method
         self.args = args
         self.kwargs = kwargs
         self.reply = reply
-        self.sent_at = sent_at
 
 
 class _Activation:
@@ -233,7 +231,7 @@ class ActorRuntime:
             )
             return reply
         delay, destination, cross_silo = self._message_delay(target)
-        envelope = _Envelope(method, args, kwargs, reply, self.backend.now)
+        envelope = _Envelope(method, args, kwargs, reply)
         self.messages_sent += 1
         if self._obs_messages is not None:
             child = self._obs_msg_children.get(method)
@@ -275,7 +273,6 @@ class ActorRuntime:
             copy = _Envelope(
                 method, args, kwargs,
                 self.backend.create_future(label=f"dup:{target}.{method}"),
-                self.backend.now,
             )
             self.backend.deliver(
                 delay + extra, self._deliver, target, copy,

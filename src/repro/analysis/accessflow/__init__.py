@@ -15,7 +15,7 @@ package makes the promise *verified instead of trusted*:
   / input-determined / ⊤) and propagates them interprocedurally through
   same-actor helper calls and cross-actor ``call_actor`` edges;
 * :mod:`~repro.analysis.accessflow.verify` checks every literal
-  ``TxnRequest.pact(...)`` / ``submit_pact(...)`` declaration against
+  ``TxnRequest.pact(...)`` / ``TxnRequest(...)`` declaration against
   the inferred set — under-declaration (batch-stall risk),
   over-declaration (lost parallelism), mode downgrades — and can
   rewrite literal access dicts in place (``--fix``).

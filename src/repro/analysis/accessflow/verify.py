@@ -1,9 +1,9 @@
 """Check declared PACT access sets against the inferred ones.
 
-For every literal access declaration — ``TxnRequest.pact(...)``,
-``TxnRequest(... access={...})``, or a legacy ``submit_pact(...)`` —
-this pass compares the declared actor set with the transitive access
-set inferred for the entry method and reports:
+For every literal access declaration — ``TxnRequest.pact(...)`` or
+``TxnRequest(... access={...})`` — this pass compares the declared
+actor set with the transitive access set inferred for the entry method
+and reports:
 
 * ``under-declared`` (**error**): the body reaches an actor the
   declaration misses.  At run time the undeclared invocation waits for
@@ -178,19 +178,12 @@ def _extract_site(
 ) -> Optional[_Site]:
     name = dotted(call.func) or ""
     last = name.split(".")[-1]
-    access_expr: Optional[ast.expr] = None
-    if (last == "pact" and "TxnRequest" in name) or last == "TxnRequest":
-        for keyword in call.keywords:
-            if keyword.arg == "access":
-                access_expr = keyword.value
-    elif last == "submit_pact":
-        if len(call.args) >= 5:
-            access_expr = call.args[4]
-        for keyword in call.keywords:
-            if keyword.arg == "access":
-                access_expr = keyword.value
-    else:
+    if not ((last == "pact" and "TxnRequest" in name) or last == "TxnRequest"):
         return None
+    access_expr: Optional[ast.expr] = None
+    for keyword in call.keywords:
+        if keyword.arg == "access":
+            access_expr = keyword.value
     if not isinstance(access_expr, ast.Dict):
         return None  # dynamic declaration: the sanitizer's territory
 

@@ -97,9 +97,6 @@ _MUTATORS = frozenset({
 _SIM_IMPORT_EXEMPT_RE = re.compile(
     r"repro[/\\](?:sim[/\\]|runtime[/\\](?:kernel|sim_backend)\.py$)"
 )
-#: paths allowed to call the submit_pact/submit_act shims (SNAP015):
-#: repro internals, where the shims themselves and their coverage live.
-_SUBMIT_SHIM_EXEMPT_RE = re.compile(r"repro[/\\]")
 
 
 def _is_sim_module(name: str) -> bool:
@@ -529,36 +526,10 @@ class ModuleLinter:
                 continue
             dotted = _dotted(node.func) or ""
             name = dotted.split(".")[-1]
-            if name == "submit_pact":
-                self._check_submit_pact(node)
-            if name in ("submit_pact", "submit_act"):
-                self._check_submit_shim(node, name)
             if (name == "pact" and "TxnRequest" in dotted) or (
                 name == "TxnRequest"
             ):
                 self._check_txn_request_pact(node)
-
-    # -- SNAP015: the deprecated submission shims ---------------------------
-    def _check_submit_shim(self, call: ast.Call, name: str) -> None:
-        """Flag direct shim calls outside repro internals: application
-        code should go through ``submit(TxnRequest...)``."""
-        if _SUBMIT_SHIM_EXEMPT_RE.search(self.module.path):
-            return
-        self.emit(
-            "SNAP015", call,
-            f"direct call to the deprecated {name!r} shim; build a "
-            f"TxnRequest ({'TxnRequest.pact(...)' if name == 'submit_pact' else 'TxnRequest.act(...)'}) "
-            f"and pass it to submit(), which returns a TxnHandle",
-        )
-
-    def _check_submit_pact(self, call: ast.Call) -> None:
-        access: Optional[ast.expr] = None
-        if len(call.args) >= 5:
-            access = call.args[4]
-        for keyword in call.keywords:
-            if keyword.arg == "access":
-                access = keyword.value
-        self._check_pact_declaration(call, access)
 
     def _check_txn_request_pact(self, call: ast.Call) -> None:
         """The same declaration checks on the TxnRequest surface:

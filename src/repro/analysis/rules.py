@@ -15,7 +15,8 @@ Scopes
 ``actor-method``
     Checked inside any ``async def`` method of a class.
 ``call-site``
-    Checked at ``submit_pact`` / ``start_txn`` call sites anywhere.
+    Checked at ``TxnRequest.pact(...)`` / ``TxnRequest(...)`` call sites
+    anywhere.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ _RULES: Tuple[Rule, ...] = (
         name="pact-missing-start-access",
         scope="call-site",
         summary=(
-            "A literal actorAccessInfo passed to submit_pact/start_txn "
+            "A literal access dict passed to TxnRequest.pact/TxnRequest "
             "does not declare the transaction's own start actor; the "
             "coordinator rejects such PACTs at registration."
         ),
@@ -189,18 +190,8 @@ _RULES: Tuple[Rule, ...] = (
             "(or a backend handle) instead."
         ),
     ),
-    Rule(
-        id="SNAP015",
-        name="deprecated-submit-shim",
-        scope="call-site",
-        summary=(
-            "Application code calls the deprecated submit_pact/"
-            "submit_act shims directly.  Build a repro.api.TxnRequest "
-            "(TxnRequest.pact(...) / TxnRequest.act(...)) and pass it "
-            "to submit(), which returns a TxnHandle; the shims survive "
-            "only inside repro internals and will be removed."
-        ),
-    ),
+    # SNAP015 (deprecated-submit-shim) is retired along with the shims
+    # it flagged; rule IDs are never reused.
     Rule(
         id="SNAP016",
         name="pact-dynamic-access-key",

@@ -1,10 +1,10 @@
 """The unified client submission surface: ``submit(TxnRequest) -> TxnHandle``.
 
-Snapper's two transaction flavors used to enter through two methods —
-``submit_pact`` (pre-declared access set, deterministic batching) and
-``submit_act`` (nondeterministic, S2PL + 2PC).  This module folds both
-into one request/handle pair so every client — workloads, baselines,
-examples, chaos — goes through a single, optimizable entry point:
+Snapper's two transaction flavors — a PACT (pre-declared access set,
+deterministic batching) and an ACT (nondeterministic, S2PL + 2PC) — are
+one client call that differs only in whether the request declares its
+access set (§3.1).  Every client — workloads, baselines, examples,
+chaos — goes through this one request/handle pair:
 
 * :class:`TxnRequest` — an immutable description of one submission:
   which actor starts it, which method runs, the PACT access set (or
@@ -26,10 +26,6 @@ Typical use::
     ))
     balance = system.run(handle)
     assert handle.status == TxnHandle.COMMITTED
-
-The legacy ``submit_pact`` / ``submit_act`` methods remain as thin
-deprecation shims over ``submit`` (see ``docs/api.md`` for the
-migration table).
 """
 
 from __future__ import annotations
@@ -96,8 +92,7 @@ class TxnRequest:
             )
         if txn == PACT and self.access is None:
             raise ValueError(
-                "a PACT pre-declares its access set: pass access={...} "
-                "(the old submit_pact actorAccessInfo)"
+                "a PACT pre-declares its access set: pass access={...}"
             )
         if txn == ACT and self.access is not None:
             raise ValueError(
@@ -234,8 +229,8 @@ def submit_over(
     """Shared ``submit`` plumbing for systems.
 
     ``start(handle)`` fires one attempt and returns its future.  Without
-    a retry policy the handle wraps that future directly (the exact
-    message timing of the legacy calls); with one, a driver task
+    a retry policy the handle wraps that future directly (no extra task:
+    the start message leaves at submit time); with one, a driver task
     resubmits on transient aborts per :mod:`repro.retry`.
     """
     handle = TxnHandle(request, None)

@@ -112,22 +112,12 @@ class NTSystem:
     def shutdown(self) -> None:
         pass
 
-    def submit(
-        self,
-        request: Union[TxnRequest, str],
-        key: Hashable = None,
-        method: Optional[str] = None,
-        func_input: Any = None,
-    ) -> TxnHandle:
+    def submit(self, request: TxnRequest) -> TxnHandle:
         """Submit one call; the unified ``repro.api`` surface.
 
         NT runs everything without transactions, so the request's
-        ``txn`` kind and access set are simply ignored.  The legacy
-        positional form ``submit(kind, key, method, func_input)`` is
-        still accepted; both return an awaitable :class:`TxnHandle`.
+        ``txn`` kind and access set are simply ignored.
         """
-        if not isinstance(request, TxnRequest):
-            request = TxnRequest.act(request, key, method, func_input)
 
         def start(handle: TxnHandle) -> Any:
             return self.actor(request.kind, request.key).call(

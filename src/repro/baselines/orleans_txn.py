@@ -493,23 +493,13 @@ class OrleansTxnSystem:
     def shutdown(self) -> None:
         pass
 
-    def submit(
-        self,
-        request: Union[TxnRequest, str],
-        key: Hashable = None,
-        method: Optional[str] = None,
-        func_input: Any = None,
-    ) -> TxnHandle:
+    def submit(self, request: TxnRequest) -> TxnHandle:
         """Submit one transaction; the unified ``repro.api`` surface.
 
         OrleansTxn runs every transaction nondeterministically, so a
         PACT request's access set is accepted but unused (the paper's
-        baseline has no pre-declared path).  The legacy positional form
-        ``submit(kind, key, method, func_input)`` is still accepted;
-        both return an awaitable :class:`TxnHandle`.
+        baseline has no pre-declared path).
         """
-        if not isinstance(request, TxnRequest):
-            request = TxnRequest.act(request, key, method, func_input)
 
         def start(handle: TxnHandle) -> Any:
             return self.actor(request.kind, request.key).call(

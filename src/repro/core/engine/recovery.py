@@ -258,7 +258,7 @@ async def resolve_in_doubt_tail(
     state: Any,
     apply_delta: Callable[[Any, List[Any]], Any],
     timeout: float,
-    tail: Optional[List[Any]] = None,
+    tail: List[Any],
     on_adopt: Optional[Callable[[Any], None]] = None,
 ) -> Any:
     """2PC participant recovery: advance ``state`` through the actor's
@@ -287,13 +287,11 @@ async def resolve_in_doubt_tail(
       ACT's effects were undone on the live actor before any later
       record was logged, so later records do not embed them.
 
-    ``on_adopt`` fires once per adopted record (after its state is
-    folded in) so the caller can track the committed frontier.
+    ``tail`` is the actor's in-doubt tail: ``RecoveryResult.tail`` at
+    activation, or :func:`in_doubt_tail`.  ``on_adopt`` fires once per
+    adopted record (after its state is folded in) so the caller can
+    track the committed frontier.
     """
-    if tail is None:
-        # activation passes the tail its recovery scan already found;
-        # computing it here is another full-log walk.
-        tail = in_doubt_tail(actor_id, loggers)
     if not tail:
         return state
     from repro.runtime.kernel import sleep

@@ -21,7 +21,6 @@ Typical use::
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Callable, Dict, Hashable, Optional, Set
 
 from repro.actors.ref import ActorId, ActorRef
@@ -219,7 +218,7 @@ class SnapperSystem:
     def submit(self, request: TxnRequest) -> TxnHandle:
         """Submit one transaction (Fig. 1) described by ``request``.
 
-        The unified entry point (``repro.api``): fires the start message
+        The one client entry point (``repro.api``): fires the start message
         immediately and returns an awaitable :class:`TxnHandle` exposing
         result, status, and trace id.  ``system.run(handle)`` drives it
         to completion on any backend.
@@ -232,39 +231,6 @@ class SnapperSystem:
             )
 
         return submit_over(self.backend, start, request)
-
-    async def submit_pact(
-        self,
-        kind: str,
-        key: Hashable,
-        method: str,
-        func_input: Any = None,
-        access: Optional[Dict[Any, int]] = None,
-    ) -> Any:
-        """Deprecated shim over :meth:`submit` (PACT flavor)."""
-        warnings.warn(
-            "SnapperSystem.submit_pact is deprecated; use "
-            "submit(TxnRequest.pact(...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if access is None:
-            raise ValueError("a PACT needs actorAccessInfo")
-        return await self.submit(
-            TxnRequest.pact(kind, key, method, func_input, access=access)
-        )
-
-    async def submit_act(
-        self, kind: str, key: Hashable, method: str, func_input: Any = None
-    ) -> Any:
-        """Deprecated shim over :meth:`submit` (ACT flavor)."""
-        warnings.warn(
-            "SnapperSystem.submit_act is deprecated; use "
-            "submit(TxnRequest.act(...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return await self.submit(TxnRequest.act(kind, key, method, func_input))
 
     def run(self, coro_or_future, until: Optional[float] = None):
         """Drive the backend until the given work completes."""

@@ -54,7 +54,6 @@ from repro.core.engine.recovery import (
 )
 from repro.core.locks import ActorLock
 from repro.obs.instruments import LATENCY_BUCKETS, registry_from_services
-from repro.core.schedule import LocalSchedule
 from repro.errors import SimulationError
 
 
@@ -368,11 +367,6 @@ class TransactionalActor(Actor):
     # ------------------------------------------------------------------
     # host surface for the engine layers
     # ------------------------------------------------------------------
-    @property
-    def _schedule(self) -> LocalSchedule:
-        """Legacy introspection alias for the scheduler's LocalSchedule."""
-        return self._scheduler.schedule
-
     def actor_ref(self, actor_id: ActorId) -> ActorRef:
         return ActorRef(self.runtime, actor_id)
 

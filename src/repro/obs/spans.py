@@ -216,12 +216,7 @@ def build_spans(tracer: TxnTracer) -> List[TxnSpans]:
     out: List[TxnSpans] = []
     for tid in sorted(tracer.traces):
         trace = tracer.traces[tid]
-        events = [
-            e if isinstance(e, TraceEvent)
-            else TraceEvent(e[0], e[1], e[2], tid=tid)
-            for e in trace.events
-        ]
-        spans = build_txn_spans(tid, trace.mode, events)
+        spans = build_txn_spans(tid, trace.mode, trace.events)
         if spans is not None:
             out.append(spans)
     return out

@@ -162,10 +162,19 @@ class AsyncioBackend:
     def current_silo(self) -> Optional[int]:
         return _silo_var.get()
 
+    def _ensure_future(self, aw: Any) -> Any:
+        """What ``gather`` and ``wait_for`` subscribe to for ``aw``:
+        the sim kernel's rule — futures as-is, a future-like wrapper
+        (``TxnHandle``) by its ``.future``, anything else as a task."""
+        if is_future_like(aw):
+            return aw
+        inner = getattr(aw, "future", None)
+        if is_future_like(inner):
+            return inner
+        return self.spawn(aw)
+
     def gather(self, *awaitables: Any) -> AioFuture:
-        futures = [
-            aw if is_future_like(aw) else self.spawn(aw) for aw in awaitables
-        ]
+        futures = [self._ensure_future(aw) for aw in awaitables]
         result = AioFuture(self._loop, label="gather")
         if not futures:
             result.set_result([])
@@ -196,7 +205,7 @@ class AsyncioBackend:
     async def wait_for(
         self, awaitable: Any, timeout: float, message: str = "timeout"
     ) -> Any:
-        fut = awaitable if is_future_like(awaitable) else self.spawn(awaitable)
+        fut = self._ensure_future(awaitable)
         timer = self.sleep(timeout)
         outcome = AioFuture(self._loop, label="wait_for")
 

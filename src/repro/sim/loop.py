@@ -44,6 +44,7 @@ def spawn(coro: Coroutine, label: str = "") -> Task:
 
 
 def _ensure_future(loop: "SimLoop", aw: Any) -> Future:
+    """What ``gather`` and ``wait_for`` subscribe to for ``aw``."""
     if isinstance(aw, Future):
         return aw
     inner = getattr(aw, "future", None)
@@ -92,7 +93,7 @@ async def wait_for(awaitable, timeout: float, message: str = "timeout"):
     it); tasks passed in are cancelled, matching asyncio behaviour.
     """
     loop = current_loop()
-    fut = awaitable if isinstance(awaitable, Future) else loop.create_task(awaitable)
+    fut = _ensure_future(loop, awaitable)
     timer = loop.sleep(timeout)
     outcome = Future(label="wait_for")
 

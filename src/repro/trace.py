@@ -35,13 +35,6 @@ fans out — a transaction that is retried can accumulate several; use
 :meth:`TxnTracer.cc_aborts` to pull them out when comparing
 concurrency-control strategies (the wait-die ablation).
 
-Backwards compatibility: a :class:`TraceEvent` unpacks and indexes like
-the historical ``(time, event, detail)`` triple, so existing consumers
-(``for when, name, detail in trace.events``) keep working; the enriched
-``tid`` / ``bid`` / ``actor`` / ``access`` fields are attributes.  The
-old positional names remain available as the ``when`` / ``event``
-aliases.
-
 Tracing is entirely optional: when no tracer service is registered the
 hooks cost one dictionary lookup.
 """
@@ -50,7 +43,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 #: pseudo-tid that system-level events (``fault_injected``, ``silo_crash``,
 #: ``recovery``) are recorded under — they belong to the deployment, not
@@ -59,11 +52,8 @@ SYSTEM_TID = -1
 
 
 class TraceEvent:
-    """One recorded event, enriched with identity fields.
-
-    Tuple-compatible with the legacy ``(time, event, detail)`` triple:
-    iteration and ``event[0..2]`` expose exactly those three values.
-    """
+    """One recorded event: what happened (``name``, ``detail``) and when,
+    plus the identity fields the schedule checker reads."""
 
     __slots__ = ("time", "name", "detail", "tid", "bid", "actor", "access",
                  "seq")
@@ -91,25 +81,6 @@ class TraceEvent:
         #: schedule checker can reconstruct per-actor access order
         #: without heuristics.
         self.seq = seq
-
-    # -- legacy field-name aliases ----------------------------------------
-    @property
-    def when(self) -> float:
-        return self.time
-
-    @property
-    def event(self) -> str:
-        return self.name
-
-    # -- legacy tuple behaviour -------------------------------------------
-    def __iter__(self) -> Iterator[Any]:
-        return iter((self.time, self.name, self.detail))
-
-    def __getitem__(self, index: int) -> Any:
-        return (self.time, self.name, self.detail)[index]
-
-    def __len__(self) -> int:
-        return 3
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         extras = ", ".join(
@@ -156,14 +127,14 @@ class TxnTrace:
     mode: str = "?"
     #: the PACT's batch id, once known (None for ACTs).
     bid: Optional[int] = None
-    events: List[Tuple[float, str, Any]] = field(default_factory=list)
+    events: List[TraceEvent] = field(default_factory=list)
 
     def event_names(self) -> List[str]:
-        return [name for _, name, _ in self.events]
+        return [event.name for event in self.events]
 
-    def first(self, name: str) -> Optional[Tuple[float, str, Any]]:
+    def first(self, name: str) -> Optional[TraceEvent]:
         for event in self.events:
-            if event[1] == name:
+            if event.name == name:
                 return event
         return None
 
@@ -172,7 +143,7 @@ class TxnTrace:
         a, b = self.first(start), self.first(end)
         if a is None or b is None:
             return None
-        return b[0] - a[0]
+        return b.time - a.time
 
     @property
     def outcome(self) -> str:
@@ -185,10 +156,12 @@ class TxnTrace:
 
     def render(self) -> str:
         lines = [f"txn {self.tid} ({self.mode}) — {self.outcome}"]
-        start = self.events[0][0] if self.events else 0.0
-        for when, name, detail in self.events:
+        start = self.events[0].time if self.events else 0.0
+        for event in self.events:
+            detail = event.detail
             suffix = f"  {detail}" if detail not in (None, "") else ""
-            lines.append(f"  +{(when - start) * 1000:8.3f} ms  {name}{suffix}")
+            offset_ms = (event.time - start) * 1000
+            lines.append(f"  +{offset_ms:8.3f} ms  {event.name}{suffix}")
         return "\n".join(lines)
 
 
@@ -262,27 +235,17 @@ class TxnTracer:
         strategy refused — the per-strategy abort surface of the
         wait-die-vs-timeout ablation."""
         return [
-            (trace.tid, detail)
+            (trace.tid, event.detail)
             for trace in self.traces.values()
-            for _, name, detail in trace.events
-            if name == "cc_abort"
+            for event in trace.events
+            if event.name == "cc_abort"
         ]
 
     def all_events(self) -> List[TraceEvent]:
-        """Every recorded event across all traces, in recording order.
-
-        Legacy plain-tuple events (tests may append them directly) are
-        wrapped so the result is uniformly :class:`TraceEvent`.
-        """
-        events: List[TraceEvent] = []
-        for trace in self.traces.values():
-            for event in trace.events:
-                if not isinstance(event, TraceEvent):
-                    event = TraceEvent(
-                        event[0], event[1], event[2], tid=trace.tid,
-                        bid=trace.bid,
-                    )
-                events.append(event)
+        """Every recorded event across all traces, in recording order."""
+        events = [
+            event for trace in self.traces.values() for event in trace.events
+        ]
         events.sort(key=lambda e: (e.seq, e.time))
         return events
 
@@ -309,10 +272,6 @@ class TxnTracer:
         with open(path, "w", encoding="utf-8") as fh:
             for trace in self.traces.values():
                 for event in trace.events:
-                    if not isinstance(event, TraceEvent):
-                        event = TraceEvent(
-                            event[0], event[1], event[2], tid=trace.tid,
-                        )
                     data = event.to_dict()
                     data.setdefault("tid", trace.tid)
                     data["mode"] = trace.mode

@@ -3,15 +3,7 @@
 from repro.api import TxnRequest
 
 
-async def submit(system):
-    return await system.submit_pact(  # snapper: noqa SNAP015
-        "account", "alice", "transfer", (10.0, "bob"),
-        access={"bob": 1},
-    )
-
-
 def build_request():
-    # the TxnRequest surface is checked the same way
     return TxnRequest.pact(
         "account", "alice", "transfer", (10.0, "bob"),
         access={"bob": 1},

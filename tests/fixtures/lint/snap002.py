@@ -17,15 +17,7 @@ class TransferActor:
         return None
 
 
-async def submit(system):
-    return await system.submit_pact(  # snapper: noqa SNAP015
-        "account", "alice", "transfer", None,
-        access={"alice": 1, "bob": 1},
-    )
-
-
 def build_request():
-    # the TxnRequest surface is checked the same way
     return TxnRequest.pact(
         "account", "alice", "transfer",
         access={"alice": 1, "bob": 1},

@@ -4,6 +4,7 @@ notification, tombstones, and lock hygiene after failures."""
 import pytest
 
 from repro import FuncCall, TransactionAbortedError, sim
+from repro.api import TxnRequest
 from repro.sim import gather, spawn
 
 from tests.conftest import AccountActor, build_system
@@ -35,8 +36,9 @@ def test_no_locks_leak_after_partial_multi_transfer_failure():
     try:
         async def main():
             with pytest.raises(TransactionAbortedError):
-                await system.submit_act("account", 0, "failing_fanout",
-                                        [1, 2, 3])
+                await system.submit(TxnRequest.act(
+                    "account", 0, "failing_fanout", [1, 2, 3]
+                ))
             # every touched actor must be lock-free afterwards
             await sim.sleep(0.05)
             for key in (0, 1, 2, 3):
@@ -45,7 +47,7 @@ def test_no_locks_leak_after_partial_multi_transfer_failure():
                     assert not lock.holders, f"lock leak on account {key}"
                     assert lock.queue_length == 0
             # and all actors remain usable
-            return await system.submit_act("account", 1, "deposit", 5.0)
+            return await system.submit(TxnRequest.act("account", 1, "deposit", 5.0))
 
         assert system.run(main()) in (105.0, 106.0)
     finally:
@@ -68,9 +70,9 @@ def test_tombstone_rejects_late_invocation():
     try:
         async def main():
             with pytest.raises(TransactionAbortedError):
-                await system.submit_act("account", 0, "slow_then_fail", 9)
+                await system.submit(TxnRequest.act("account", 0, "slow_then_fail", 9))
             await sim.sleep(0.05)  # let the raced deposit resolve
-            balance = await system.submit_act("account", 9, "balance")
+            balance = await system.submit(TxnRequest.act("account", 9, "balance"))
             lock = lock_of(system, 9)
             return balance, (lock.holders if lock else set())
 
@@ -90,9 +92,9 @@ def test_sustained_contention_keeps_committing():
 
     async def one(i):
         try:
-            await system.submit_act(
+            await system.submit(TxnRequest.act(
                 "account", i % 3, "transfer", (1.0, (i + 1) % 3)
-            )
+            ))
             outcomes.append("committed")
         except TransactionAbortedError as exc:
             outcomes.append(exc.reason)
@@ -101,7 +103,8 @@ def test_sustained_contention_keeps_committing():
         for wave in range(6):
             await gather(*[spawn(one(i + wave)) for i in range(6)])
         balances = [
-            await system.submit_act("account", k, "balance") for k in range(3)
+            await system.submit(TxnRequest.act("account", k, "balance"))
+            for k in range(3)
         ]
         return balances
 
@@ -143,7 +146,9 @@ def test_abort_reports_reach_attempted_targets():
     try:
         async def main():
             with pytest.raises(TransactionAbortedError):
-                await system.submit_act("account", 0, "failing_fanout", [5, 6])
+                await system.submit(TxnRequest.act(
+                    "account", 0, "failing_fanout", [5, 6]
+                ))
             await sim.sleep(0.05)
 
         system.run(main())
@@ -164,14 +169,14 @@ def test_wait_die_liveness_oldest_commits():
         # spread arrivals so not everything lands while the lock is held
         await sim.sleep(0.002 * i)
         try:
-            await system.submit_act("account", 0, "deposit", 1.0)
+            await system.submit(TxnRequest.act("account", 0, "deposit", 1.0))
             return 1
         except TransactionAbortedError:
             return 0
 
     async def main():
         results = await gather(*[spawn(one(i)) for i in range(40)])
-        final = await system.submit_act("account", 0, "balance")
+        final = await system.submit(TxnRequest.act("account", 0, "balance"))
         return sum(results), final
 
     committed, final = system.run(main())

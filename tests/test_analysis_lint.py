@@ -25,10 +25,17 @@ def lint_fixture(name):
 
 # -- the registry ------------------------------------------------------------
 
+#: IDs of deleted rules: never reassigned, so old noqa comments and
+#: docs cannot silently start meaning something else.
+RETIRED_RULE_IDS = {"SNAP015"}
+
+
 def test_registry_ids_are_stable_and_ordered():
-    assert ALL_RULE_IDS == tuple(
-        f"SNAP{n:03d}" for n in range(1, len(ALL_RULE_IDS) + 1)
-    )
+    numbers = [int(rule_id[len("SNAP"):]) for rule_id in ALL_RULE_IDS]
+    assert all(rule_id == f"SNAP{n:03d}"
+               for rule_id, n in zip(ALL_RULE_IDS, numbers))
+    assert numbers == sorted(set(numbers))  # ascending and unique
+    assert not RETIRED_RULE_IDS & set(ALL_RULE_IDS)
     for rule_id, rule in RULES.items():
         assert rule.id == rule_id
         assert rule.scope in (
@@ -134,29 +141,6 @@ def test_snap014_flags_local_and_plain_imports():
 def test_snap014_noqa_suppression():
     source = "from repro.sim import spawn  # snapper: noqa SNAP014\n"
     assert lint_source(source, "src/repro/core/foo.py") == []
-
-
-# -- SNAP015: the deprecated submission shims --------------------------------
-
-def test_snap015_exempts_repro_internals():
-    source = (
-        "async def run(system):\n"
-        "    await system.submit_act('account', 0, 'balance')\n"
-    )
-    assert lint_source(source, "src/repro/workloads/client.py") == []
-    findings = lint_source(source, "apps/teller.py")
-    assert [f.rule_id for f in findings] == ["SNAP015"]
-    assert "TxnRequest.act" in findings[0].message
-
-
-def test_snap015_flags_both_shims_and_bare_names():
-    source = (
-        "async def run(system, submit_pact):\n"
-        "    await system.submit_pact('a', 0, 'm', None, {0: 1})\n"
-        "    await submit_pact('a', 0, 'm', None, {0: 1})\n"
-    )
-    findings = lint_source(source, "apps/teller.py")
-    assert [f.rule_id for f in findings] == ["SNAP015", "SNAP015"]
 
 
 # -- CLI ---------------------------------------------------------------------

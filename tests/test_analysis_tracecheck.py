@@ -18,6 +18,7 @@ import pytest
 
 from repro.analysis import check_trace_file, check_tracer
 from repro.analysis.__main__ import main as analysis_main
+from repro.api import TxnRequest
 from repro.core.config import SnapperConfig
 from repro.core.context import TxnMode
 from repro.core.engine.guard import SerializabilityGuard
@@ -174,7 +175,7 @@ def test_contended_deposits_audit_clean():
 
     async def one(i):
         try:
-            await system.submit_act("account", 0, "deposit", 1.0)
+            await system.submit(TxnRequest.act("account", 0, "deposit", 1.0))
         except Exception:
             pass
 

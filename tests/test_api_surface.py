@@ -1,19 +1,13 @@
-"""The unified submission API (``repro.api``): contract + equivalence.
+"""The unified submission API (``repro.api``): contract + neutrality.
 
-Three layers of guarantees:
+Two layers of guarantees:
 
 * unit contracts of :class:`TxnRequest` / :class:`TxnHandle` /
   :class:`RetryPolicy` — validation, inference, status lifecycle;
-* **shim equivalence** — the deprecated ``submit_pact``/``submit_act``
-  methods produce bit-identical results *and* trace-event streams to
-  ``submit(TxnRequest...)`` on a seeded mixed workload, so migrating a
-  call site can never change behavior;
 * **observability neutrality** — running the same seeded workload with
   observability on (tracer installed, spans built post-hoc) leaves
   every result and final balance identical to the disabled run.
 """
-
-import warnings
 
 import pytest
 
@@ -78,7 +72,7 @@ def test_handle_abort_lifecycle(system):
     assert handle.abort_reason is not None
 
 
-# -- shim equivalence --------------------------------------------------------
+# -- observability neutrality (perf-regression oracle) -----------------------
 
 #: seeded mixed workload: (is_pact, key, method, input, access)
 _WORKLOAD = [
@@ -90,56 +84,6 @@ _WORKLOAD = [
     ("act", 3, "balance", None, None),
 ]
 
-
-def _drive(via_shims):
-    system = build_system(seed=17)
-    tracer = TxnTracer()
-    system.runtime.services["txn_tracer"] = tracer
-
-    async def client():
-        results = []
-        for txn, key, method, func_input, access in _WORKLOAD:
-            if via_shims:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", DeprecationWarning)
-                    if txn == "pact":
-                        results.append(await system.submit_pact(
-                            "account", key, method, func_input, access,
-                        ))
-                    else:
-                        results.append(await system.submit_act(
-                            "account", key, method, func_input,
-                        ))
-            else:
-                request = (
-                    TxnRequest.pact("account", key, method, func_input,
-                                    access=access)
-                    if txn == "pact"
-                    else TxnRequest.act("account", key, method, func_input)
-                )
-                results.append(await system.submit(request))
-        return results
-
-    results = system.run(client())
-    system.shutdown()
-    events = {
-        tid: [
-            (e.time, e.name, e.detail, e.bid, e.actor, e.access)
-            for e in trace.events
-        ]
-        for tid, trace in tracer.traces.items()
-    }
-    return results, events
-
-
-def test_shims_and_submit_are_trace_identical():
-    shim_results, shim_events = _drive(via_shims=True)
-    api_results, api_events = _drive(via_shims=False)
-    assert shim_results == api_results
-    assert shim_events == api_events
-
-
-# -- observability neutrality (perf-regression oracle) -----------------------
 
 def _seeded_outcome(observability):
     system = build_system(seed=23, observability=observability)

@@ -4,6 +4,7 @@ import pytest
 
 from repro import AccessMode, FuncCall, TransactionAbortedError
 from repro.actors.runtime import SiloConfig
+from repro.api import TxnRequest
 from repro.baselines import (
     NonTransactionalActor,
     NTSystem,
@@ -73,8 +74,10 @@ def test_nt_executes_actor_chains():
     system = nt_system()
 
     async def main():
-        balance = await system.submit("account", 1, "transfer", (30.0, 2))
-        b2 = await system.submit("account", 2, "balance")
+        balance = await system.submit(TxnRequest.act(
+            "account", 1, "transfer", (30.0, 2)
+        ))
+        b2 = await system.submit(TxnRequest.act("account", 2, "balance"))
         return balance, b2
 
     assert system.run(main()) == (70.0, 130.0)
@@ -94,8 +97,8 @@ def test_nt_has_no_atomicity():
 
     async def main():
         with pytest.raises(RuntimeError):
-            await system.submit("account", 1, "bad_transfer", 2)
-        return await system.submit("account", 2, "balance")
+            await system.submit(TxnRequest.act("account", 1, "bad_transfer", 2))
+        return await system.submit(TxnRequest.act("account", 2, "balance"))
 
     assert system.run(main()) == 150.0  # the deposit stuck: no rollback
 
@@ -104,7 +107,7 @@ def test_nt_no_logging_no_extra_messages():
     system = nt_system()
 
     async def main():
-        await system.submit("account", 1, "deposit", 1.0)
+        await system.submit(TxnRequest.act("account", 1, "deposit", 1.0))
 
     system.run(main())
     # client -> actor only (plus activation); no coordinator/logging traffic
@@ -118,9 +121,11 @@ def test_orleans_commit_and_state_visible():
     system = orleans_system()
 
     async def main():
-        balance = await system.submit("account", 1, "transfer", (30.0, 2))
-        b1 = await system.submit("account", 1, "balance")
-        b2 = await system.submit("account", 2, "balance")
+        balance = await system.submit(TxnRequest.act(
+            "account", 1, "transfer", (30.0, 2)
+        ))
+        b1 = await system.submit(TxnRequest.act("account", 1, "balance"))
+        b2 = await system.submit(TxnRequest.act("account", 2, "balance"))
         return balance, b1, b2
 
     assert system.run(main()) == (70.0, 70.0, 130.0)
@@ -131,9 +136,9 @@ def test_orleans_user_abort_rolls_back():
 
     async def main():
         with pytest.raises(TransactionAbortedError):
-            await system.submit("account", 1, "transfer", (1000.0, 2))
-        b1 = await system.submit("account", 1, "balance")
-        b2 = await system.submit("account", 2, "balance")
+            await system.submit(TxnRequest.act("account", 1, "transfer", (1000.0, 2)))
+        b1 = await system.submit(TxnRequest.act("account", 1, "balance"))
+        b2 = await system.submit(TxnRequest.act("account", 2, "balance"))
         return b1, b2
 
     assert system.run(main()) == (100.0, 100.0)
@@ -152,7 +157,7 @@ def test_orleans_concurrent_transfers_conserve_money():
         await sim.sleep(stagger)
         to = (i + 1) % len(accounts)
         try:
-            await system.submit("account", i, "transfer", (5.0, to))
+            await system.submit(TxnRequest.act("account", i, "transfer", (5.0, to)))
             return "committed"
         except TransactionAbortedError as exc:
             return exc.reason
@@ -166,7 +171,8 @@ def test_orleans_concurrent_transfers_conserve_money():
             ]
         )
         balances = [
-            await system.submit("account", i, "balance") for i in accounts
+            await system.submit(TxnRequest.act("account", i, "balance"))
+            for i in accounts
         ]
         return outcomes, balances
 
@@ -196,7 +202,9 @@ def test_orleans_deadlock_times_out():
 
     async def one(frm, to):
         try:
-            await system.submit("account", frm, "slow_transfer", (1.0, to))
+            await system.submit(TxnRequest.act(
+                "account", frm, "slow_transfer", (1.0, to)
+            ))
             return "committed"
         except TransactionAbortedError as exc:
             return exc.reason
@@ -217,7 +225,7 @@ def test_orleans_logs_prepare_and_commit_records():
     system = orleans_system()
 
     async def main():
-        await system.submit("account", 1, "transfer", (5.0, 2))
+        await system.submit(TxnRequest.act("account", 1, "transfer", (5.0, 2)))
 
     system.run(main())
     kinds = [r.kind for r in system.loggers.all_records()]
@@ -233,7 +241,7 @@ def test_orleans_costs_more_messages_than_snapper_act():
     snapper = build_system()
 
     async def snapper_main():
-        await snapper.submit_act("account", 1, "transfer", (5.0, 2))
+        await snapper.submit(TxnRequest.act("account", 1, "transfer", (5.0, 2)))
 
     snapper.run(snapper_main())
     snapper_msgs = snapper.runtime.messages_sent
@@ -241,7 +249,7 @@ def test_orleans_costs_more_messages_than_snapper_act():
     orleans = orleans_system()
 
     async def orleans_main():
-        await orleans.submit("account", 1, "transfer", (5.0, 2))
+        await orleans.submit(TxnRequest.act("account", 1, "transfer", (5.0, 2)))
 
     orleans.run(orleans_main())
     orleans_msgs = orleans.runtime.messages_sent
@@ -262,7 +270,7 @@ def test_orleans_early_lock_release_allows_pipelining():
 
         async def main():
             jobs = [
-                system.submit("account", 0, "deposit", 1.0)
+                system.submit(TxnRequest.act("account", 0, "deposit", 1.0))
                 for _ in range(8)
             ]
             await gather(*(job.future for job in jobs))

@@ -10,6 +10,7 @@ changes end-to-end abort behavior.
 import pytest
 
 from repro import AbortReason, TransactionAbortedError
+from repro.api import TxnRequest
 from repro.baselines.orleans_txn import OrleansActExecutor, OrleansTxnActor
 from repro.core.config import SnapperConfig
 from repro.core.engine.act import ActExecutionCore, ActExecutor
@@ -104,14 +105,14 @@ def _run_contended(strategy):
 
     async def one(i):
         try:
-            await system.submit_act("account", 0, "deposit", 1.0)
+            await system.submit(TxnRequest.act("account", 0, "deposit", 1.0))
             return "committed"
         except TransactionAbortedError as exc:
             return exc.reason
 
     async def main():
         outcomes = await gather(*[spawn(one(i)) for i in range(30)])
-        balance = await system.submit_act("account", 0, "balance")
+        balance = await system.submit(TxnRequest.act("account", 0, "balance"))
         return outcomes, balance
 
     return system.run(main())
@@ -146,7 +147,7 @@ def test_engine_wires_configured_strategy_onto_lock():
     system = build_system(concurrency_control="no_wait")
 
     async def main():
-        await system.submit_act("account", 4, "deposit", 1.0)
+        await system.submit(TxnRequest.act("account", 4, "deposit", 1.0))
 
     system.run(main())
     activation = system.runtime._activations[system.actor("account", 4).id]
@@ -181,7 +182,7 @@ def test_orleans_actor_uses_strategy_lock():
             config=OrleansTxnConfig(early_lock_release=elr), seed=5
         )
         system.register_actor("counter", Counter)
-        assert system.run(system.submit("counter", 0, "bump")) == 1
+        assert system.run(system.submit(TxnRequest.act("counter", 0, "bump"))) == 1
         activation = system.runtime._activations[
             system.actor("counter", 0).id
         ]

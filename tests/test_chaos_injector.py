@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import TxnRequest
 from repro.chaos.harness import ChaosHarness
 from repro.chaos.injector import ChaosInjector, ChaosLogStorage
 from repro.chaos.plan import FaultKind, FaultPlan, FaultSpec
@@ -99,14 +100,14 @@ def test_actor_crash_fault_kills_and_system_recovers():
 
     async def main():
         # commit something so the crash has durable state to recover
-        await system.submit_pact(
+        await system.submit(TxnRequest.pact(
             CHAOS_ACCOUNT_KIND, 0, "chaos_transfer", ("m0", 2.0, (1,)),
             access={0: 1, 1: 1},
-        )
+        ))
         from repro.sim.loop import sleep
         await sleep(0.2)  # let the scheduled crash fire
         # the next access transparently reactivates from the WAL
-        return await system.submit_act(CHAOS_ACCOUNT_KIND, 0, "probe")
+        return await system.submit(TxnRequest.act(CHAOS_ACCOUNT_KIND, 0, "probe"))
 
     balance = system.run(main())
     assert injector.stats["actor_crashes"] == 1

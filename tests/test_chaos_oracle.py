@@ -11,6 +11,7 @@ import pytest
 
 from repro.actors.ref import ActorId
 from repro.actors.runtime import SiloConfig
+from repro.api import TxnRequest
 from repro.chaos.injector import ChaosInjector
 from repro.chaos.oracle import classify, recovered_states, verify
 from repro.chaos.plan import FaultKind, FaultPlan, FaultSpec
@@ -146,10 +147,9 @@ def _run_act_with_crash_on(record_kind):
 
     async def client():
         try:
-            await system.submit_act(
-                CHAOS_ACCOUNT_KIND, 0, "chaos_transfer",
-                ("m-2pc", 5.0, (1,)),
-            )
+            await system.submit(TxnRequest.act(
+                CHAOS_ACCOUNT_KIND, 0, "chaos_transfer", ("m-2pc", 5.0, (1,))
+            ))
         except Exception as exc:  # noqa: BLE001 - crash observed
             outcome.status = f"failure:{type(exc).__name__}"
         else:

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.actors.ref import ActorId
+from repro.api import TxnRequest
 from repro.chaos.workload import (
     CHAOS_ACCOUNT_KIND,
     INITIAL_BALANCE,
@@ -74,15 +75,14 @@ def test_recover_state_is_consistent_at_every_wal_prefix():
             dest = (index + 1) % num_actors
             marker = f"m{index}"
             if index % 2 == 0:
-                await system.submit_pact(
+                await system.submit(TxnRequest.pact(
                     CHAOS_ACCOUNT_KIND, source, "chaos_transfer",
                     (marker, 2.0, (dest,)), access={source: 1, dest: 1},
-                )
+                ))
             else:
-                await system.submit_act(
-                    CHAOS_ACCOUNT_KIND, source, "chaos_transfer",
-                    (marker, 2.0, (dest,)),
-                )
+                await system.submit(TxnRequest.act(
+                    CHAOS_ACCOUNT_KIND, source, "chaos_transfer", (marker, 2.0, (dest,))
+                ))
 
     system.run(drive())
     system.shutdown()
@@ -263,7 +263,8 @@ def _resolve(log, registry, state=0.0, timeout=0.05):
     loop = SimLoop(seed=0)
     return loop.run_until_complete(
         resolve_in_doubt_tail(
-            _aid(), log, registry, state, _raise_on_delta, timeout=timeout
+            _aid(), log, registry, state, _raise_on_delta, timeout=timeout,
+            tail=in_doubt_tail(_aid(), log),
         )
     )
 
@@ -328,7 +329,8 @@ def test_tail_act_adopted_when_decision_lands_during_grace_period():
 
         spawn(land_decision())
         return await resolve_in_doubt_tail(
-            aid, log, RegistryStub(), 0.0, _raise_on_delta, timeout=0.05
+            aid, log, RegistryStub(), 0.0, _raise_on_delta, timeout=0.05,
+            tail=in_doubt_tail(aid, log),
         )
 
     assert loop.run_until_complete(main()) == 99.0
@@ -351,7 +353,8 @@ def test_tail_act_abort_does_not_stop_the_walk():
 
         spawn(land_decision())
         return await resolve_in_doubt_tail(
-            aid, log, RegistryStub(), 0.0, _raise_on_delta, timeout=0.05
+            aid, log, RegistryStub(), 0.0, _raise_on_delta, timeout=0.05,
+            tail=in_doubt_tail(aid, log),
         )
 
     # tid 9 never decides (presumed abort, skipped); tid 10's decision

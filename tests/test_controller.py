@@ -3,6 +3,7 @@
 import pytest
 
 from repro import sim
+from repro.api import TxnRequest
 from repro.sim import gather, spawn
 
 from tests.conftest import AccountActor, build_system
@@ -16,23 +17,25 @@ def test_cascade_aborts_all_uncommitted_batches():
 
     async def main():
         # one committed transaction first
-        await system.submit_pact("account", 0, "deposit", 5.0, access={0: 1})
+        await system.submit(TxnRequest.pact(
+            "account", 0, "deposit", 5.0, access={0: 1}
+        ))
 
         # a wave of transactions, one of which user-aborts
         async def good(i):
             try:
-                await system.submit_pact(
+                await system.submit(TxnRequest.pact(
                     "account", i, "deposit", 1.0, access={i: 1}
-                )
+                ))
                 outcomes[i] = "committed"
             except Exception as exc:
                 outcomes[i] = type(exc).__name__
 
         async def bad():
             try:
-                await system.submit_pact(
+                await system.submit(TxnRequest.pact(
                     "account", 1, "withdraw", 10_000.0, access={1: 1}
-                )
+                ))
                 outcomes["bad"] = "committed"
             except Exception as exc:
                 outcomes["bad"] = type(exc).__name__
@@ -40,7 +43,7 @@ def test_cascade_aborts_all_uncommitted_batches():
         await gather(*[spawn(good(i)) for i in range(2, 6)], spawn(bad()))
         await sim.sleep(0.05)
         balances = {
-            key: await system.submit_act("account", key, "balance")
+            key: await system.submit(TxnRequest.act("account", key, "balance"))
             for key in range(6)
         }
         return balances
@@ -64,15 +67,15 @@ def test_system_resumes_after_cascade():
 
     async def main():
         with pytest.raises(Exception):
-            await system.submit_pact(
+            await system.submit(TxnRequest.pact(
                 "account", 1, "withdraw", 10_000.0, access={1: 1}
-            )
+            ))
         # emission resumes: new PACTs commit normally
         results = []
         for i in range(3):
-            results.append(await system.submit_pact(
+            results.append(await system.submit(TxnRequest.pact(
                 "account", i, "deposit", 2.0, access={i: 1}
-            ))
+            )))
         return results
 
     assert system.run(main()) == [102.0, 102.0, 102.0]
@@ -85,9 +88,9 @@ def test_concurrent_failures_trigger_single_cascade():
 
     async def bad(i):
         try:
-            await system.submit_pact(
+            await system.submit(TxnRequest.pact(
                 "account", i, "withdraw", 10_000.0, access={i: 1}
-            )
+            ))
         except Exception:
             pass
 
@@ -101,7 +104,7 @@ def test_concurrent_failures_trigger_single_cascade():
     assert 1 <= system.controller.cascades <= 4
     # and the system remains functional afterwards
     assert system.run(
-        system.submit_pact("account", 9, "deposit", 1.0, access={9: 1})
+        system.submit(TxnRequest.pact("account", 9, "deposit", 1.0, access={9: 1}))
     ) == 101.0
 
 
@@ -120,12 +123,12 @@ def test_generation_dooms_concurrent_acts():
     AccountActor.slow_act = slow_act
     try:
         async def main():
-            act = spawn(system.submit_act("account", 9, "slow_act"))
+            act = system.submit(TxnRequest.act("account", 9, "slow_act"))
             await sim.sleep(0.005)
             with pytest.raises(TransactionAbortedError):
-                await system.submit_pact(
+                await system.submit(TxnRequest.pact(
                     "account", 1, "withdraw", 10_000.0, access={1: 1}
-                )
+                ))
             try:
                 await act
                 return "committed"

@@ -1,8 +1,9 @@
 """Tests for coordinator behavior: token ring, batching, tid ranges."""
 
 from repro import sim
+from repro.api import TxnRequest
 from repro.core.system import COORDINATOR_KIND
-from repro.sim import gather, spawn
+from repro.sim import gather
 
 from tests.conftest import build_system
 
@@ -19,7 +20,9 @@ def test_token_keeps_circulating_among_coordinators():
     system = build_system()
 
     async def main():
-        await system.submit_pact("account", 1, "deposit", 1.0, access={1: 1})
+        await system.submit(TxnRequest.pact(
+            "account", 1, "deposit", 1.0, access={1: 1}
+        ))
         await sim.sleep(0.01)
 
     system.run(main())
@@ -40,8 +43,9 @@ def test_tids_strictly_increase_within_batches():
     try:
         async def main():
             await gather(*[
-                spawn(system.submit_pact("account", i % 3, "record",
-                                         access={i % 3: 1}))
+                system.submit(TxnRequest.pact(
+                    "account", i % 3, "record", access={i % 3: 1}
+                ))
                 for i in range(20)
             ])
 
@@ -73,10 +77,10 @@ def test_pact_and_act_tids_never_collide():
         async def main():
             jobs = []
             for i in range(12):
-                jobs.append(spawn(system.submit_pact(
-                    "account", i % 3, "record", access={i % 3: 1})))
-                jobs.append(spawn(system.submit_act(
-                    "account", i % 3, "record")))
+                jobs.append(system.submit(TxnRequest.pact(
+                    "account", i % 3, "record", access={i % 3: 1}
+                )))
+                jobs.append(system.submit(TxnRequest.act("account", i % 3, "record")))
             await gather(*jobs)
 
         system.run(main())
@@ -100,9 +104,10 @@ def test_bids_monotonic_across_coordinators():
         async def main():
             for wave in range(5):
                 await gather(*[
-                    spawn(system.submit_pact("account", (wave * 7 + i) % 9,
-                                             "record",
-                                             access={(wave * 7 + i) % 9: 1}))
+                    system.submit(TxnRequest.pact(
+                        "account", (wave * 7 + i) % 9, "record",
+                        access={(wave * 7 + i) % 9: 1},
+                    ))
                     for i in range(4)
                 ])
 
@@ -119,9 +124,10 @@ def test_coordinator_stats_accumulate():
 
     async def main():
         for i in range(6):
-            await system.submit_pact("account", i, "deposit", 1.0,
-                                     access={i: 1})
-            await system.submit_act("account", i, "deposit", 1.0)
+            await system.submit(TxnRequest.pact(
+                "account", i, "deposit", 1.0, access={i: 1}
+            ))
+            await system.submit(TxnRequest.act("account", i, "deposit", 1.0))
 
     system.run(main())
     coordinators = coordinators_of(system)
@@ -135,11 +141,10 @@ def test_single_coordinator_ring_works():
 
     async def main():
         await gather(*[
-            spawn(system.submit_pact("account", i, "deposit", 1.0,
-                                     access={i: 1}))
+            system.submit(TxnRequest.pact("account", i, "deposit", 1.0, access={i: 1}))
             for i in range(8)
         ])
-        return await system.submit_act("account", 0, "balance")
+        return await system.submit(TxnRequest.act("account", 0, "balance"))
 
     assert system.run(main()) == 101.0
 
@@ -158,7 +163,7 @@ def test_act_tid_pool_refills_under_demand():
     try:
         async def main():
             await gather(*[
-                spawn(system.submit_act("account", i % 5, "record"))
+                system.submit(TxnRequest.act("account", i % 5, "record"))
                 for i in range(40)
             ])
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import AbortReason, TransactionAbortedError
+from repro.api import TxnRequest
 from repro.sim import gather, spawn
 
 from tests.conftest import build_system
@@ -10,16 +11,18 @@ from tests.conftest import build_system
 
 def test_single_actor_act_commits(system):
     async def main():
-        return await system.submit_act("account", 1, "deposit", 25.0)
+        return await system.submit(TxnRequest.act("account", 1, "deposit", 25.0))
 
     assert system.run(main()) == 125.0
 
 
 def test_multi_actor_act_transfers_money(system):
     async def main():
-        balance = await system.submit_act("account", 1, "transfer", (40.0, 2))
-        b1 = await system.submit_act("account", 1, "balance")
-        b2 = await system.submit_act("account", 2, "balance")
+        balance = await system.submit(TxnRequest.act(
+            "account", 1, "transfer", (40.0, 2)
+        ))
+        b1 = await system.submit(TxnRequest.act("account", 1, "balance"))
+        b2 = await system.submit(TxnRequest.act("account", 2, "balance"))
         return balance, b1, b2
 
     assert system.run(main()) == (60.0, 60.0, 140.0)
@@ -28,10 +31,10 @@ def test_multi_actor_act_transfers_money(system):
 def test_act_user_abort_rolls_back(system):
     async def main():
         with pytest.raises(TransactionAbortedError) as excinfo:
-            await system.submit_act("account", 1, "transfer", (1000.0, 2))
+            await system.submit(TxnRequest.act("account", 1, "transfer", (1000.0, 2)))
         assert excinfo.value.reason == AbortReason.USER_ABORT
-        b1 = await system.submit_act("account", 1, "balance")
-        b2 = await system.submit_act("account", 2, "balance")
+        b1 = await system.submit(TxnRequest.act("account", 1, "balance"))
+        b2 = await system.submit(TxnRequest.act("account", 2, "balance"))
         return b1, b2
 
     assert system.run(main()) == (100.0, 100.0)
@@ -53,8 +56,10 @@ def test_act_abort_after_remote_write_restores_state(system):
     try:
         async def main():
             with pytest.raises(TransactionAbortedError):
-                await system.submit_act("account", 1, "deposit_then_fail", 2)
-            return await system.submit_act("account", 2, "balance")
+                await system.submit(TxnRequest.act(
+                    "account", 1, "deposit_then_fail", 2
+                ))
+            return await system.submit(TxnRequest.act("account", 2, "balance"))
 
         assert system.run(main()) == 100.0
     finally:
@@ -69,7 +74,7 @@ def test_concurrent_acts_conserve_money():
     async def one_transfer(i):
         to = (i + 1) % len(accounts)
         try:
-            await system.submit_act("account", i, "transfer", (10.0, to))
+            await system.submit(TxnRequest.act("account", i, "transfer", (10.0, to)))
             return "committed"
         except TransactionAbortedError as exc:
             return exc.reason
@@ -79,7 +84,8 @@ def test_concurrent_acts_conserve_money():
             *[spawn(one_transfer(i)) for i in accounts for _ in range(3)]
         )
         balances = [
-            await system.submit_act("account", i, "balance") for i in accounts
+            await system.submit(TxnRequest.act("account", i, "balance"))
+            for i in accounts
         ]
         return outcomes, balances
 
@@ -94,7 +100,7 @@ def test_wait_die_aborts_younger_on_conflict():
 
     async def one(i):
         try:
-            await system.submit_act("account", 0, "deposit", 1.0)
+            await system.submit(TxnRequest.act("account", 0, "deposit", 1.0))
             return True
         except TransactionAbortedError as exc:
             assert exc.reason == AbortReason.ACT_CONFLICT
@@ -102,7 +108,7 @@ def test_wait_die_aborts_younger_on_conflict():
 
     async def main():
         results = await gather(*[spawn(one(i)) for i in range(30)])
-        final = await system.submit_act("account", 0, "balance")
+        final = await system.submit(TxnRequest.act("account", 0, "balance"))
         return results, final
 
     results, final = system.run(main())
@@ -117,16 +123,16 @@ def test_act_read_only_participants_release_locks(system):
 
     async def main():
         for _ in range(3):
-            await system.submit_act("account", 5, "balance")
+            await system.submit(TxnRequest.act("account", 5, "balance"))
         # a writer can still get through afterwards
-        return await system.submit_act("account", 5, "deposit", 1.0)
+        return await system.submit(TxnRequest.act("account", 5, "deposit", 1.0))
 
     assert system.run(main()) == 101.0
 
 
 def test_act_2pc_logs_prepare_and_commit(system):
     async def main():
-        await system.submit_act("account", 1, "transfer", (5.0, 2))
+        await system.submit(TxnRequest.act("account", 1, "transfer", (5.0, 2)))
 
     system.run(main())
     kinds = [r.kind for r in system.loggers.all_records()]
@@ -141,7 +147,7 @@ def test_act_abort_writes_no_commit_records(system):
 
     async def main():
         with pytest.raises(TransactionAbortedError):
-            await system.submit_act("account", 1, "transfer", (1000.0, 2))
+            await system.submit(TxnRequest.act("account", 1, "transfer", (1000.0, 2)))
 
     system.run(main())
     kinds = [r.kind for r in system.loggers.all_records()]
@@ -162,7 +168,7 @@ def test_noop_actor_not_in_commit_protocol(system):
     AccountActor.relay = relay
     try:
         async def main():
-            result = await system.submit_act("account", 1, "relay", 2)
+            result = await system.submit(TxnRequest.act("account", 1, "relay", 2))
             return result
 
         assert system.run(main()) == 110.0
@@ -178,7 +184,7 @@ def test_noop_actor_not_in_commit_protocol(system):
 
 def test_pure_noop_act_commits_without_logging(system):
     async def main():
-        return await system.submit_act("account", 1, "noop")
+        return await system.submit(TxnRequest.act("account", 1, "noop"))
 
     assert system.run(main()) == "ok"
     assert system.loggers.records_persisted() == 0
@@ -197,7 +203,7 @@ def test_act_tids_are_unique_and_fresh(system):
         async def main():
             await gather(
                 *[
-                    spawn(system.submit_act("account", i % 5, "record_tid"))
+                    system.submit(TxnRequest.act("account", i % 5, "record_tid"))
                     for i in range(40)
                 ]
             )
@@ -214,9 +220,10 @@ def test_act_sequential_throughput_no_contention(system):
 
     async def main():
         for i in range(20):
-            await system.submit_act("account", i, "deposit", 2.0)
+            await system.submit(TxnRequest.act("account", i, "deposit", 2.0))
         return [
-            await system.submit_act("account", i, "balance") for i in range(20)
+            await system.submit(TxnRequest.act("account", i, "balance"))
+            for i in range(20)
         ]
 
     assert system.run(main()) == [102.0] * 20

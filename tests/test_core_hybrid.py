@@ -3,6 +3,7 @@
 import pytest
 
 from repro import AbortReason, TransactionAbortedError
+from repro.api import TxnRequest
 from repro.sim import gather, spawn
 
 from tests.conftest import build_system
@@ -16,11 +17,11 @@ def test_mixed_workload_conserves_money():
         to = (i + 3) % len(accounts)
         try:
             if use_pact:
-                await system.submit_pact(
+                await system.submit(TxnRequest.pact(
                     "account", i, "transfer", (5.0, to), access={i: 1, to: 1}
-                )
+                ))
             else:
-                await system.submit_act("account", i, "transfer", (5.0, to))
+                await system.submit(TxnRequest.act("account", i, "transfer", (5.0, to)))
             return "committed"
         except TransactionAbortedError as exc:
             return exc.reason
@@ -34,7 +35,7 @@ def test_mixed_workload_conserves_money():
             ]
         )
         balances = [
-            await system.submit_pact("account", i, "balance", access={i: 1})
+            await system.submit(TxnRequest.pact("account", i, "balance", access={i: 1}))
             for i in accounts
         ]
         return outcomes, balances
@@ -75,16 +76,16 @@ def test_act_between_batches_sees_consistent_state():
             total = None
             # transfers move money between 1 and 2; their sum is invariant
             writers = [
-                spawn(
-                    system.submit_pact(
-                        "account", 1, "transfer", (2.0, 2), access={1: 1, 2: 1}
-                    )
-                )
+                system.submit(TxnRequest.pact(
+                    "account", 1, "transfer", (2.0, 2), access={1: 1, 2: 1}
+                ))
                 for _ in range(10)
             ]
             for _ in range(5):
                 try:
-                    total = await system.submit_act("account", 1, "sum_two", 2)
+                    total = await system.submit(TxnRequest.act(
+                        "account", 1, "sum_two", 2
+                    ))
                     assert total == pytest.approx(200.0)
                 except TransactionAbortedError:
                     pass
@@ -101,12 +102,12 @@ def test_pact_waits_for_preceding_act_and_commits():
     system = build_system(seed=2)
 
     async def main():
-        act = spawn(system.submit_act("account", 3, "deposit", 10.0))
-        pact = spawn(
-            system.submit_pact("account", 3, "deposit", 1.0, access={3: 1})
-        )
+        act = system.submit(TxnRequest.act("account", 3, "deposit", 10.0))
+        pact = system.submit(TxnRequest.pact(
+            "account", 3, "deposit", 1.0, access={3: 1}
+        ))
         await gather(act, pact)
-        return await system.submit_act("account", 3, "balance")
+        return await system.submit(TxnRequest.act("account", 3, "balance"))
 
     assert system.run(main()) == 111.0
 
@@ -117,22 +118,22 @@ def test_act_commit_waits_for_before_set_batches():
     commit_order = []
 
     async def main():
-        pact = spawn(
-            system.submit_pact("account", 6, "deposit", 5.0, access={6: 1})
-        )
+        pact = system.submit(TxnRequest.pact(
+            "account", 6, "deposit", 5.0, access={6: 1}
+        ))
         # let the batch be scheduled on the actor before the ACT arrives
         # (must exceed the token cycle time so the batch has formed)
         from repro import sim
 
         await sim.sleep(0.006)
-        act = spawn(system.submit_act("account", 6, "deposit", 7.0))
+        act = system.submit(TxnRequest.act("account", 6, "deposit", 7.0))
 
         async def tag(future, name):
             await future
             commit_order.append(name)
 
         await gather(spawn(tag(pact, "pact")), spawn(tag(act, "act")))
-        return await system.submit_act("account", 6, "balance")
+        return await system.submit(TxnRequest.act("account", 6, "balance"))
 
     final = system.run(main())
     assert final == 112.0
@@ -153,12 +154,13 @@ def test_serializability_check_stats_exposed():
             return
         try:
             if use_pact:
-                await system.submit_pact(
-                    "account", frm, "transfer", (1.0, to),
-                    access={frm: 1, to: 1},
-                )
+                await system.submit(TxnRequest.pact(
+                    "account", frm, "transfer", (1.0, to), access={frm: 1, to: 1}
+                ))
             else:
-                await system.submit_act("account", frm, "transfer", (1.0, to))
+                await system.submit(TxnRequest.act(
+                    "account", frm, "transfer", (1.0, to)
+                ))
             outcomes.append("committed")
         except TransactionAbortedError as exc:
             outcomes.append(exc.reason)
@@ -168,7 +170,7 @@ def test_serializability_check_stats_exposed():
             *[spawn(one(i, i % 3 != 0)) for i in range(60)]
         )
         return [
-            await system.submit_pact("account", a, "balance", access={a: 1})
+            await system.submit(TxnRequest.pact("account", a, "balance", access={a: 1}))
             for a in accounts
         ]
 
@@ -189,9 +191,11 @@ def test_incomplete_after_set_optimization_allows_tail_acts():
 
     async def main():
         # commit a PACT first so the actor has a committed batch history
-        await system.submit_pact("account", 9, "deposit", 1.0, access={9: 1})
+        await system.submit(TxnRequest.pact(
+            "account", 9, "deposit", 1.0, access={9: 1}
+        ))
         # now a lone ACT with nothing scheduled after it
-        return await system.submit_act("account", 9, "deposit", 2.0)
+        return await system.submit(TxnRequest.act("account", 9, "deposit", 2.0))
 
     assert system.run(main()) == 103.0
 
@@ -202,11 +206,13 @@ def test_incomplete_after_set_without_optimization_aborts():
     system = build_system(seed=1, incomplete_after_set_optimization=False)
 
     async def main():
-        await system.submit_pact("account", 9, "deposit", 1.0, access={9: 1})
+        await system.submit(TxnRequest.pact(
+            "account", 9, "deposit", 1.0, access={9: 1}
+        ))
         with pytest.raises(TransactionAbortedError) as excinfo:
             # the deposit ACT conflicts with actor 9's batch history: its
             # BeforeSet is nonempty, its AfterSet incomplete -> abort
-            await system.submit_act("account", 9, "deposit", 2.0)
+            await system.submit(TxnRequest.act("account", 9, "deposit", 2.0))
         return excinfo.value.reason
 
     reason = system.run(main())
@@ -233,13 +239,13 @@ def test_hybrid_deadlock_resolved_by_aborting_act():
             jobs = []
             for i in range(12):
                 # ACTs and PACTs hitting the same two actors in both orders
-                jobs.append(spawn(guarded(system.submit_act(
+                jobs.append(spawn(guarded(system.submit(TxnRequest.act(
                     "account", i % 2, "slow_two_hop", (i + 1) % 2
-                ))))
+                )))))
                 a, b = i % 2, (i + 1) % 2
-                jobs.append(spawn(guarded(system.submit_pact(
+                jobs.append(spawn(guarded(system.submit(TxnRequest.pact(
                     "account", a, "slow_two_hop", b, access={a: 1, b: 1}
-                ))))
+                )))))
             results = await gather(*jobs)
             return results
 

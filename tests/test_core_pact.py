@@ -3,27 +3,32 @@
 import pytest
 
 from repro import AbortReason, TransactionAbortedError
-from repro.sim import gather, spawn
+from repro.api import PACT, TxnRequest
+from repro.sim import gather
 
 from tests.conftest import build_system
 
 
 def test_single_actor_pact_commits(system):
     async def main():
-        return await system.submit_pact(
+        return await system.submit(TxnRequest.pact(
             "account", 1, "deposit", 50.0, access={1: 1}
-        )
+        ))
 
     assert system.run(main()) == 150.0
 
 
 def test_multi_actor_pact_transfers_money(system):
     async def main():
-        balance = await system.submit_pact(
+        balance = await system.submit(TxnRequest.pact(
             "account", 1, "transfer", (30.0, 2), access={1: 1, 2: 1}
-        )
-        b1 = await system.submit_pact("account", 1, "balance", access={1: "r"})
-        b2 = await system.submit_pact("account", 2, "balance", access={2: "r"})
+        ))
+        b1 = await system.submit(TxnRequest.pact(
+            "account", 1, "balance", access={1: "r"}
+        ))
+        b2 = await system.submit(TxnRequest.pact(
+            "account", 2, "balance", access={2: "r"}
+        ))
         return balance, b1, b2
 
     balance, b1, b2 = system.run(main())
@@ -33,20 +38,13 @@ def test_multi_actor_pact_transfers_money(system):
 
 def test_multi_transfer_parallel_deposits(system):
     async def main():
-        await system.submit_pact(
-            "account",
-            1,
-            "multi_transfer",
-            (10.0, [2, 3, 4]),
+        await system.submit(TxnRequest.pact(
+            "account", 1, "multi_transfer", (10.0, [2, 3, 4]),
             access={1: 1, 2: 1, 3: 1, 4: 1},
-        )
+        ))
         balances = await gather(
             *[
-                spawn(
-                    system.submit_pact(
-                        "account", k, "balance", access={k: 1}
-                    )
-                )
+                system.submit(TxnRequest.pact("account", k, "balance", access={k: 1}))
                 for k in (1, 2, 3, 4)
             ]
         )
@@ -61,15 +59,15 @@ def test_concurrent_pacts_all_commit_no_aborts(system):
     async def main():
         results = await gather(
             *[
-                spawn(
-                    system.submit_pact(
-                        "account", 1, "deposit", 1.0, access={1: 1}
-                    )
-                )
+                system.submit(TxnRequest.pact(
+                    "account", 1, "deposit", 1.0, access={1: 1}
+                ))
                 for _ in range(50)
             ]
         )
-        final = await system.submit_pact("account", 1, "balance", access={1: "r"})
+        final = await system.submit(TxnRequest.pact(
+            "account", 1, "balance", access={1: "r"}
+        ))
         return results, final
 
     results, final = system.run(main())
@@ -87,21 +85,17 @@ def test_concurrent_transfers_conserve_money(system):
         for i in accounts:
             to = (i + 3) % len(accounts)
             txns.append(
-                spawn(
-                    system.submit_pact(
-                        "account",
-                        i,
-                        "transfer",
-                        (5.0, to),
-                        access={i: 1, to: 1},
-                    )
-                )
+                system.submit(TxnRequest.pact(
+                    "account", i, "transfer", (5.0, to), access={i: 1, to: 1}
+                ))
             )
         await gather(*txns)
         balances = []
         for i in accounts:
             balances.append(
-                await system.submit_pact("account", i, "balance", access={i: 1})
+                await system.submit(TxnRequest.pact(
+                    "account", i, "balance", access={i: 1}
+                ))
             )
         return balances
 
@@ -114,15 +108,19 @@ def test_pact_user_abort_rolls_back_whole_batch(system):
 
     async def main():
         with pytest.raises(TransactionAbortedError) as excinfo:
-            await system.submit_pact(
+            await system.submit(TxnRequest.pact(
                 "account", 1, "transfer", (1000.0, 2), access={1: 1, 2: 1}
-            )
+            ))
         assert excinfo.value.reason in (
             AbortReason.USER_ABORT,
             AbortReason.CASCADING,
         )
-        b1 = await system.submit_pact("account", 1, "balance", access={1: "r"})
-        b2 = await system.submit_pact("account", 2, "balance", access={2: "r"})
+        b1 = await system.submit(TxnRequest.pact(
+            "account", 1, "balance", access={1: "r"}
+        ))
+        b2 = await system.submit(TxnRequest.pact(
+            "account", 2, "balance", access={2: "r"}
+        ))
         return b1, b2
 
     assert system.run(main()) == (100.0, 100.0)
@@ -134,9 +132,15 @@ def test_pact_batches_execute_in_bid_order(system):
 
     async def main():
         # sequential submissions => deterministic order of effects
-        await system.submit_pact("account", 7, "deposit", 1.0, access={7: 1})
-        await system.submit_pact("account", 7, "withdraw", 50.0, access={7: 1})
-        return await system.submit_pact("account", 7, "balance", access={7: "r"})
+        await system.submit(TxnRequest.pact(
+            "account", 7, "deposit", 1.0, access={7: 1}
+        ))
+        await system.submit(TxnRequest.pact(
+            "account", 7, "withdraw", 50.0, access={7: 1}
+        ))
+        return await system.submit(TxnRequest.pact(
+            "account", 7, "balance", access={7: "r"}
+        ))
 
     assert system.run(main()) == 51.0
 
@@ -148,11 +152,9 @@ def test_pact_batching_groups_transactions():
     async def main():
         await gather(
             *[
-                spawn(
-                    system.submit_pact(
-                        "account", i % 4, "deposit", 1.0, access={i % 4: 1}
-                    )
-                )
+                system.submit(TxnRequest.pact(
+                    "account", i % 4, "deposit", 1.0, access={i % 4: 1}
+                ))
                 for i in range(40)
             ]
         )
@@ -168,11 +170,9 @@ def test_no_batching_ablation_one_batch_per_pact():
     async def main():
         await gather(
             *[
-                spawn(
-                    system.submit_pact(
-                        "account", 1, "deposit", 1.0, access={1: 1}
-                    )
-                )
+                system.submit(TxnRequest.pact(
+                    "account", 1, "deposit", 1.0, access={1: 1}
+                ))
                 for _ in range(10)
             ]
         )
@@ -184,16 +184,16 @@ def test_no_batching_ablation_one_batch_per_pact():
 def test_pact_requires_first_actor_in_access_info(system):
     async def main():
         with pytest.raises(Exception, match="must include the first actor"):
-            await system.submit_pact(  # snapper: noqa
+            await system.submit(TxnRequest.pact(  # snapper: noqa
                 "account", 1, "deposit", 1.0, access={2: 1}
-            )
+            ))
 
     system.run(main())
 
 
 def test_pact_without_access_info_rejected(system):
-    with pytest.raises(ValueError, match="actorAccessInfo"):
-        system.run(system.submit_pact("account", 1, "deposit", 1.0))
+    with pytest.raises(ValueError, match="pre-declares its access set"):
+        system.submit(TxnRequest("account", 1, "deposit", 1.0, txn=PACT))
 
 
 def test_declared_multiple_accesses_same_actor(system):
@@ -204,9 +204,9 @@ def test_declared_multiple_accesses_same_actor(system):
 
     async def main():
         # deposit twice to account 2 through two call_actor invocations
-        return await system.submit_pact(
+        return await system.submit(TxnRequest.pact(
             "account", 1, "double_deposit", 2, access={1: 1, 2: 2}
-        )
+        ))
 
     # add the method dynamically on the class for this test
     from repro import FuncCall
@@ -224,7 +224,7 @@ def test_declared_multiple_accesses_same_actor(system):
         assert system.run(main()) == "done"
         assert (
             system.run(
-                system.submit_pact("account", 2, "balance", access={2: "r"})
+                system.submit(TxnRequest.pact("account", 2, "balance", access={2: "r"}))
             )
             == 112.0
         )
@@ -234,9 +234,9 @@ def test_declared_multiple_accesses_same_actor(system):
 
 def test_logging_writes_batch_records(system):
     async def main():
-        await system.submit_pact(
+        await system.submit(TxnRequest.pact(
             "account", 1, "transfer", (10.0, 2), access={1: 1, 2: 1}
-        )
+        ))
 
     system.run(main())
     kinds = [r.kind for r in system.loggers.all_records()]
@@ -249,9 +249,9 @@ def test_cc_only_mode_writes_no_logs():
     system = build_system(logging_enabled=False)
 
     async def main():
-        return await system.submit_pact(
+        return await system.submit(TxnRequest.pact(
             "account", 1, "deposit", 5.0, access={1: 1}
-        )
+        ))
 
     assert system.run(main()) == 105.0
     assert system.loggers.records_persisted() == 0

@@ -3,8 +3,8 @@
 import pytest
 
 from repro import TransactionAbortedError
+from repro.api import TxnRequest
 from repro.errors import ActorCrashedError
-from repro.sim import spawn
 
 from tests.conftest import build_system
 
@@ -14,10 +14,12 @@ def test_actor_crash_recovers_committed_state():
     system = build_system()
 
     async def main():
-        await system.submit_pact("account", 1, "deposit", 42.0, access={1: 1})
+        await system.submit(TxnRequest.pact(
+            "account", 1, "deposit", 42.0, access={1: 1}
+        ))
         assert system.crash_actor("account", 1)
         # next access transparently re-activates and recovers from the WAL
-        return await system.submit_act("account", 1, "balance")
+        return await system.submit(TxnRequest.act("account", 1, "balance"))
 
     assert system.run(main()) == 142.0
 
@@ -26,9 +28,9 @@ def test_actor_crash_loses_uncommitted_act_writes():
     system = build_system()
 
     async def main():
-        await system.submit_act("account", 1, "deposit", 10.0)
+        await system.submit(TxnRequest.act("account", 1, "deposit", 10.0))
         system.crash_actor("account", 1)
-        return await system.submit_act("account", 1, "balance")
+        return await system.submit(TxnRequest.act("account", 1, "balance"))
 
     assert system.run(main()) == 110.0
 
@@ -38,9 +40,11 @@ def test_crash_without_logging_resets_state():
     system = build_system(logging_enabled=False)
 
     async def main():
-        await system.submit_pact("account", 1, "deposit", 42.0, access={1: 1})
+        await system.submit(TxnRequest.pact(
+            "account", 1, "deposit", 42.0, access={1: 1}
+        ))
         system.crash_actor("account", 1)
-        return await system.submit_act("account", 1, "balance")
+        return await system.submit(TxnRequest.act("account", 1, "balance"))
 
     assert system.run(main()) == 100.0
 
@@ -52,10 +56,10 @@ def test_silo_crash_and_recover_preserves_committed_only():
     system = build_system()
 
     async def phase1():
-        await system.submit_pact(
+        await system.submit(TxnRequest.pact(
             "account", 1, "transfer", (30.0, 2), access={1: 1, 2: 1}
-        )
-        await system.submit_act("account", 3, "deposit", 5.0)
+        ))
+        await system.submit(TxnRequest.act("account", 3, "deposit", 5.0))
 
     system.run(phase1())
     system.crash_silo()
@@ -63,7 +67,8 @@ def test_silo_crash_and_recover_preserves_committed_only():
     async def phase2():
         await system.recover()
         return [
-            await system.submit_act("account", k, "balance") for k in (1, 2, 3)
+            await system.submit(TxnRequest.act("account", k, "balance"))
+            for k in (1, 2, 3)
         ]
 
     assert system.run(phase2()) == [70.0, 130.0, 105.0]
@@ -93,7 +98,7 @@ def test_recovery_commits_fully_voted_batch():
             actor1, BatchCompleteRecord(bid=500, actor=actor1, state=777.0)
         )
         await system.recover()
-        return await system.submit_act("account", 1, "balance")
+        return await system.submit(TxnRequest.act("account", 1, "balance"))
 
     assert system.run(seed_log()) == 777.0
     commits = [
@@ -124,7 +129,7 @@ def test_recovery_aborts_partially_voted_batch():
             actor1, BatchCompleteRecord(bid=500, actor=actor1, state=777.0)
         )
         await system.recover()
-        return await system.submit_act("account", 1, "balance")
+        return await system.submit(TxnRequest.act("account", 1, "balance"))
 
     assert system.run(seed_log()) == 100.0  # initial state, not 777
 
@@ -135,15 +140,17 @@ def test_recovery_restores_latest_of_batch_and_act_state():
     system = build_system()
 
     async def main():
-        await system.submit_pact("account", 4, "deposit", 10.0, access={4: 1})
-        await system.submit_act("account", 4, "deposit", 20.0)
+        await system.submit(TxnRequest.pact(
+            "account", 4, "deposit", 10.0, access={4: 1}
+        ))
+        await system.submit(TxnRequest.act("account", 4, "deposit", 20.0))
 
     system.run(main())
     system.crash_silo()
 
     async def after():
         await system.recover()
-        return await system.submit_act("account", 4, "balance")
+        return await system.submit(TxnRequest.act("account", 4, "balance"))
 
     assert system.run(after()) == 130.0
 
@@ -153,11 +160,9 @@ def test_inflight_transactions_fail_on_silo_crash_then_new_ones_work():
     failures = []
 
     async def main():
-        job = spawn(
-            system.submit_pact(
-                "account", 1, "transfer", (10.0, 2), access={1: 1, 2: 1}
-            )
-        )
+        job = system.submit(TxnRequest.pact(
+            "account", 1, "transfer", (10.0, 2), access={1: 1, 2: 1}
+        ))
         from repro import sim
 
         # crash once the start_txn turn is running (after ~200us delivery)
@@ -168,7 +173,7 @@ def test_inflight_transactions_fail_on_silo_crash_then_new_ones_work():
         except (TransactionAbortedError, ActorCrashedError, Exception) as exc:
             failures.append(type(exc).__name__)
         await system.recover()
-        return await system.submit_act("account", 5, "deposit", 1.0)
+        return await system.submit(TxnRequest.act("account", 5, "deposit", 1.0))
 
     assert system.run(main()) == 101.0
     assert failures, "the in-flight transaction must not silently succeed"
@@ -179,7 +184,9 @@ def test_recovered_token_continues_pact_processing():
     system = build_system()
 
     async def phase1():
-        await system.submit_pact("account", 1, "deposit", 1.0, access={1: 1})
+        await system.submit(TxnRequest.pact(
+            "account", 1, "deposit", 1.0, access={1: 1}
+        ))
 
     system.run(phase1())
     system.crash_silo()
@@ -187,8 +194,10 @@ def test_recovered_token_continues_pact_processing():
     async def phase2():
         await system.recover()
         for _ in range(3):
-            await system.submit_pact("account", 1, "deposit", 1.0, access={1: 1})
-        return await system.submit_act("account", 1, "balance")
+            await system.submit(TxnRequest.pact(
+                "account", 1, "deposit", 1.0, access={1: 1}
+            ))
+        return await system.submit(TxnRequest.act("account", 1, "balance"))
 
     assert system.run(phase2()) == 104.0
 
@@ -212,15 +221,15 @@ def test_participant_crash_aborts_act_2pc():
     AccountActor.slow_transfer = slow_transfer
     try:
         async def main():
-            job = spawn(
-                system.submit_act("account", 1, "slow_transfer", (10.0, 2))
-            )
+            job = system.submit(TxnRequest.act(
+                "account", 1, "slow_transfer", (10.0, 2)
+            ))
             await sim.sleep(0.005)
             system.crash_actor("account", 2)
             with pytest.raises(Exception):
                 await job
-            b1 = await system.submit_act("account", 1, "balance")
-            b2 = await system.submit_act("account", 2, "balance")
+            b1 = await system.submit(TxnRequest.act("account", 1, "balance"))
+            b2 = await system.submit(TxnRequest.act("account", 2, "balance"))
             return b1, b2
 
         b1, b2 = system.run(main())

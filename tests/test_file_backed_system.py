@@ -6,6 +6,7 @@ committed state — the strongest durability story the library offers.
 """
 
 from repro import SnapperConfig, SnapperSystem
+from repro.api import TxnRequest
 
 from tests.conftest import AccountActor
 
@@ -23,10 +24,10 @@ def test_committed_state_survives_new_system_instance(tmp_path):
     first = make_system(tmp_path)
 
     async def phase1():
-        await first.submit_pact(
+        await first.submit(TxnRequest.pact(
             "account", 1, "transfer", (40.0, 2), access={1: 1, 2: 1}
-        )
-        await first.submit_act("account", 3, "deposit", 7.0)
+        ))
+        await first.submit(TxnRequest.act("account", 3, "deposit", 7.0))
 
     first.run(phase1())
     first.shutdown()
@@ -37,7 +38,7 @@ def test_committed_state_survives_new_system_instance(tmp_path):
     async def phase2():
         await second.recover()
         return [
-            await second.submit_act("account", key, "balance")
+            await second.submit(TxnRequest.act("account", key, "balance"))
             for key in (1, 2, 3)
         ]
 
@@ -48,7 +49,7 @@ def test_lsn_resumes_above_existing_records(tmp_path):
     first = make_system(tmp_path)
 
     async def phase1():
-        await first.submit_pact("account", 1, "deposit", 1.0, access={1: 1})
+        await first.submit(TxnRequest.pact("account", 1, "deposit", 1.0, access={1: 1}))
 
     first.run(phase1())
     max_lsn_before = max(r.lsn for r in first.loggers.all_records())
@@ -58,7 +59,9 @@ def test_lsn_resumes_above_existing_records(tmp_path):
 
     async def phase2():
         await second.recover()
-        await second.submit_pact("account", 1, "deposit", 1.0, access={1: 1})
+        await second.submit(TxnRequest.pact(
+            "account", 1, "deposit", 1.0, access={1: 1}
+        ))
 
     second.run(phase2())
     new_records = [
@@ -73,13 +76,9 @@ def test_uncommitted_work_absent_after_restart(tmp_path):
     first = make_system(tmp_path)
 
     async def phase1():
-        await first.submit_act("account", 5, "deposit", 10.0)  # committed
+        await first.submit(TxnRequest.act("account", 5, "deposit", 10.0))  # committed
         # an in-flight PACT: submit and advance a tiny bit, then drop it
-        from repro.sim import spawn
-
-        spawn(first.submit_pact(
-            "account", 6, "deposit", 99.0, access={6: 1}
-        ))
+        first.submit(TxnRequest.pact("account", 6, "deposit", 99.0, access={6: 1}))
 
     first.run(phase1())
     # abandon the first system mid-flight (process dies)
@@ -87,8 +86,8 @@ def test_uncommitted_work_absent_after_restart(tmp_path):
 
     async def phase2():
         await second.recover()
-        b5 = await second.submit_act("account", 5, "balance")
-        b6 = await second.submit_act("account", 6, "balance")
+        b5 = await second.submit(TxnRequest.act("account", 5, "balance"))
+        b6 = await second.submit(TxnRequest.act("account", 6, "balance"))
         return b5, b6
 
     b5, b6 = second.run(phase2())

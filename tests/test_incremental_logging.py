@@ -8,6 +8,7 @@ carry only the new entries.  Recovery replays base + deltas.
 import pytest
 
 from repro import AccessMode, SnapperConfig, SnapperSystem, TransactionalActor
+from repro.api import TxnRequest
 from repro.persistence.records import ActPrepareRecord, BatchCompleteRecord
 
 
@@ -59,8 +60,9 @@ def test_incremental_records_carry_deltas_not_state():
 
     async def main():
         for i in range(5):
-            await system.submit_pact("log", 1, "append", f"item-{i}",
-                                     access={1: 1})
+            await system.submit(TxnRequest.pact(
+                "log", 1, "append", f"item-{i}", access={1: 1}
+            ))
 
     system.run(main())
     records = state_records(system)
@@ -77,10 +79,9 @@ def test_incremental_records_smaller_than_full():
 
         async def main():
             for i in range(30):
-                await system.submit_pact(
-                    "log", 1, "append", f"padded-item-{i:04d}" * 8,
-                    access={1: 1},
-                )
+                await system.submit(TxnRequest.pact(
+                    "log", 1, "append", f"padded-item-{i:04d}" * 8, access={1: 1}
+                ))
 
         system.run(main())
         return sum(r.size_bytes() for r in state_records(system))
@@ -97,15 +98,16 @@ def test_recovery_replays_deltas_after_pacts():
 
     async def phase1():
         for i in range(4):
-            await system.submit_pact("log", 1, "append", f"item-{i}",
-                                     access={1: 1})
+            await system.submit(TxnRequest.pact(
+                "log", 1, "append", f"item-{i}", access={1: 1}
+            ))
 
     system.run(phase1())
     system.crash_silo()
 
     async def phase2():
         await system.recover()
-        return await system.submit_act("log", 1, "read_all")
+        return await system.submit(TxnRequest.act("log", 1, "read_all"))
 
     assert system.run(phase2()) == [f"item-{i}" for i in range(4)]
 
@@ -114,15 +116,15 @@ def test_recovery_replays_deltas_after_acts():
     system = build()
 
     async def phase1():
-        await system.submit_act("log", 2, "append", "a")
-        await system.submit_act("log", 2, "append", "b")
+        await system.submit(TxnRequest.act("log", 2, "append", "a"))
+        await system.submit(TxnRequest.act("log", 2, "append", "b"))
 
     system.run(phase1())
     system.crash_silo()
 
     async def phase2():
         await system.recover()
-        return await system.submit_act("log", 2, "read_all")
+        return await system.submit(TxnRequest.act("log", 2, "read_all"))
 
     assert system.run(phase2()) == ["a", "b"]
 
@@ -132,15 +134,15 @@ def test_aborted_act_delta_not_logged_or_replayed():
 
     async def main():
         with pytest.raises(Exception):
-            await system.submit_act("log", 3, "append_fail", "poison")
-        await system.submit_act("log", 3, "append", "good")
+            await system.submit(TxnRequest.act("log", 3, "append_fail", "poison"))
+        await system.submit(TxnRequest.act("log", 3, "append", "good"))
 
     system.run(main())
     system.crash_silo()
 
     async def after():
         await system.recover()
-        return await system.submit_act("log", 3, "read_all")
+        return await system.submit(TxnRequest.act("log", 3, "read_all"))
 
     assert system.run(after()) == ["good"]
 
@@ -165,15 +167,15 @@ def test_mixed_full_and_delta_recovery_order():
         await system.loggers.persist("c", BatchCommitRecord(bid=700))
         await system.recover()
         # now append through the normal incremental path
-        await system.submit_act("log", 9, "append", "delta-1")
-        return await system.submit_act("log", 9, "read_all")
+        await system.submit(TxnRequest.act("log", 9, "append", "delta-1"))
+        return await system.submit(TxnRequest.act("log", 9, "read_all"))
 
     assert system.run(seed()) == ["base-1", "delta-1"]
     system.crash_silo()
 
     async def after():
         await system.recover()
-        return await system.submit_act("log", 9, "read_all")
+        return await system.submit(TxnRequest.act("log", 9, "read_all"))
 
     assert system.run(after()) == ["base-1", "delta-1"]
 

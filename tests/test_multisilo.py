@@ -12,6 +12,7 @@ import pytest
 from repro import SnapperConfig, SnapperSystem, sim
 from repro.actors import Actor, ActorRuntime, SiloConfig
 from repro.actors.ref import ActorId
+from repro.api import TxnRequest
 from repro.sim import SimLoop, gather, spawn
 
 from tests.conftest import AccountActor
@@ -139,12 +140,13 @@ def test_multisilo_pact_and_act_commit():
     system = multisilo_system(num_silos=2)
 
     async def main():
-        await system.submit_pact(
+        await system.submit(TxnRequest.pact(
             "account", 1, "transfer", (30.0, 2), access={1: 1, 2: 1}
-        )
-        await system.submit_act("account", 3, "deposit", 5.0)
+        ))
+        await system.submit(TxnRequest.act("account", 3, "deposit", 5.0))
         return [
-            await system.submit_act("account", k, "balance") for k in (1, 2, 3)
+            await system.submit(TxnRequest.act("account", k, "balance"))
+            for k in (1, 2, 3)
         ]
 
     assert system.run(main()) == [70.0, 130.0, 105.0]
@@ -159,10 +161,9 @@ def test_multisilo_money_conserved_under_concurrency():
         if frm == to:
             return
         try:
-            await system.submit_pact(
-                "account", frm, "transfer", (2.0, to),
-                access={frm: 1, to: 1},
-            )
+            await system.submit(TxnRequest.pact(
+                "account", frm, "transfer", (2.0, to), access={frm: 1, to: 1}
+            ))
         except TransactionAbortedError:
             pass
 
@@ -170,7 +171,7 @@ def test_multisilo_money_conserved_under_concurrency():
         await gather(*[spawn(one(i)) for i in range(30)])
         await sim.sleep(0.05)
         return [
-            await system.submit_act("account", k, "balance")
+            await system.submit(TxnRequest.act("account", k, "balance"))
             for k in range(10)
         ]
 
@@ -208,9 +209,9 @@ def test_pinned_ring_shortens_token_cycle():
         async def main():
             # exercise the ring with a few PACTs, then measure messages
             for i in range(5):
-                await system.submit_pact(
+                await system.submit(TxnRequest.pact(
                     "account", i, "deposit", 1.0, access={i: 1}
-                )
+                ))
             return system.runtime.cross_silo_messages
 
         return system.run(main())
@@ -224,9 +225,9 @@ def test_multisilo_recovery_works():
     system = multisilo_system(num_silos=2)
 
     async def phase1():
-        await system.submit_pact(
+        await system.submit(TxnRequest.pact(
             "account", 1, "transfer", (25.0, 2), access={1: 1, 2: 1}
-        )
+        ))
 
     system.run(phase1())
     system.crash_silo()
@@ -234,7 +235,7 @@ def test_multisilo_recovery_works():
     async def phase2():
         await system.recover()
         return [
-            await system.submit_act("account", k, "balance") for k in (1, 2)
+            await system.submit(TxnRequest.act("account", k, "balance")) for k in (1, 2)
         ]
 
     assert system.run(phase2()) == [75.0, 125.0]

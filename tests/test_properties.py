@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from repro import sim
+from repro.api import TxnRequest
 from repro.core.context import AccessMode, SubBatch, TxnExeInfo
 from repro.core.engine.concurrency import WaitDie
 from repro.core.locks import ActorLock
@@ -212,12 +213,13 @@ def test_random_hybrid_workload_conserves_money(transfers, seed):
             return "skipped"
         try:
             if use_pact:
-                await system.submit_pact(
-                    "account", frm, "transfer", (1.0, to),
-                    access={frm: 1, to: 1},
-                )
+                await system.submit(TxnRequest.pact(
+                    "account", frm, "transfer", (1.0, to), access={frm: 1, to: 1}
+                ))
             else:
-                await system.submit_act("account", frm, "transfer", (1.0, to))
+                await system.submit(TxnRequest.act(
+                    "account", frm, "transfer", (1.0, to)
+                ))
             return "committed"
         except TransactionAbortedError as exc:
             return exc.reason
@@ -227,7 +229,8 @@ def test_random_hybrid_workload_conserves_money(transfers, seed):
             *[spawn(one(f, t, p)) for f, t, p in transfers]
         )
         balances = [
-            await system.submit_act("account", k, "balance") for k in range(5)
+            await system.submit(TxnRequest.act("account", k, "balance"))
+            for k in range(5)
         ]
         return outcomes, balances
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import AbortReason, TransactionAbortedError, sim
+from repro.api import TxnRequest
 from repro.retry import RetriesExhausted, retry_transaction
 from repro.sim import SimLoop, gather, spawn
 
@@ -79,13 +80,13 @@ def test_retry_drives_hot_actor_to_full_commit_count():
     async def one(i):
         await sim.sleep(0.0005 * i)
         return await retry_transaction(
-            lambda: system.submit_act("account", 0, "deposit", 1.0),
+            lambda: system.submit(TxnRequest.act("account", 0, "deposit", 1.0)),
             max_attempts=20,
             base_backoff=2e-3,
         )
 
     async def main():
         await gather(*[spawn(one(i)) for i in range(25)])
-        return await system.submit_act("account", 0, "balance")
+        return await system.submit(TxnRequest.act("account", 0, "balance"))
 
     assert system.run(main()) == 125.0

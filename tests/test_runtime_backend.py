@@ -13,6 +13,7 @@ import pytest
 from repro.core.config import SnapperConfig
 from repro.core.system import SnapperSystem
 from repro.actors.runtime import SiloConfig
+from repro.api import TxnRequest
 from repro.errors import CancelledError, SimulationError
 from repro.runtime import BACKENDS, as_backend, create_backend
 from repro.runtime import kernel
@@ -206,6 +207,28 @@ class TestCondition:
         assert flag == [True]
 
 
+def test_gather_and_wait_for_accept_handles(backend):
+    """A ``TxnHandle`` is all a client holds: the kernel combinators
+    take it the same way on both substrates."""
+    system = SnapperSystem(loop=backend, seed=3)
+    system.register_actor("account", SnapperAccountActor)
+    system.start()
+
+    async def main():
+        deposits = [
+            system.submit(TxnRequest.act("account", i, "deposit_checking", 1.0))
+            for i in range(3)
+        ]
+        checking = await kernel.gather(*deposits)
+        read = system.submit(
+            TxnRequest.pact("account", 0, "balance", access={0: "r"})
+        )
+        return checking, await kernel.wait_for(read, 5.0)
+
+    assert system.run(main()) == ([10_001.0] * 3, 20_001.0)
+    system.shutdown()
+
+
 class TestAioFuture:
     def setup_method(self):
         self.backend = AsyncioBackend(seed=0, transport=False)
@@ -300,20 +323,19 @@ class TestTransport:
         system.start()
 
         async def burst():
-            from repro.runtime.kernel import gather, spawn
             subs = [
-                system.submit_pact(
-                    "account", i, "multi_transfer",
-                    (1.0, [(i + 1) % 8, (i + 2) % 8]),
+                system.submit(TxnRequest.pact(
+                    "account", i, "multi_transfer", (1.0, [(i + 1) % 8, (i + 2) % 8]),
                     access={i: 1, (i + 1) % 8: 1, (i + 2) % 8: 1},
-                )
+                ))
                 for i in range(8)
             ]
-            await gather(*[spawn(sub) for sub in subs])
+            await kernel.gather(*subs)
             reads = [
-                system.submit_act("account", i, "balance") for i in range(8)
+                system.submit(TxnRequest.act("account", i, "balance"))
+                for i in range(8)
             ]
-            return await gather(*[spawn(read) for read in reads])
+            return await kernel.gather(*reads)
 
         balances = system.run(burst())
         assert sum(balances) == pytest.approx(8 * 20_000.0)

@@ -18,6 +18,7 @@ from repro import (
     TransactionAbortedError,
     TransactionalActor,
 )
+from repro.api import TxnRequest
 from repro.sim import gather, spawn
 
 
@@ -92,11 +93,13 @@ def run_mixed(system, num_txns, keys, pact_every):
                 access = {start: 1}
                 for key in others:
                     access[key] = access.get(key, 0) + 1
-                await system.submit_pact(
+                await system.submit(TxnRequest.pact(
                     "history", start, "mark_many", others, access=access
-                )
+                ))
             else:
-                await system.submit_act("history", start, "mark_many", others)
+                await system.submit(TxnRequest.act(
+                    "history", start, "mark_many", others
+                ))
             outcomes.append("committed")
         except TransactionAbortedError as exc:
             outcomes.append(exc.reason)

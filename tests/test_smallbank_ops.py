@@ -3,6 +3,7 @@
 import pytest
 
 from repro.actors.runtime import SiloConfig
+from repro.api import TxnRequest
 from repro.baselines.nontransactional import NTSystem
 from repro.core.system import SnapperSystem
 from repro.errors import TransactionAbortedError
@@ -26,7 +27,7 @@ def test_balance_sums_checking_and_savings():
     system = snapper_system()
 
     async def main():
-        return await system.submit_act("account", 1, "balance")
+        return await system.submit(TxnRequest.act("account", 1, "balance"))
 
     assert system.run(main()) == INITIAL_CHECKING + INITIAL_SAVINGS
 
@@ -35,13 +36,13 @@ def test_deposit_checking_and_transact_saving():
     system = snapper_system()
 
     async def main():
-        checking = await system.submit_act(
+        checking = await system.submit(TxnRequest.act(
             "account", 1, "deposit_checking", 250.0
-        )
-        savings = await system.submit_act(
+        ))
+        savings = await system.submit(TxnRequest.act(
             "account", 1, "transact_saving", -100.0
-        )
-        total = await system.submit_act("account", 1, "balance")
+        ))
+        total = await system.submit(TxnRequest.act("account", 1, "balance"))
         return checking, savings, total
 
     checking, savings, total = system.run(main())
@@ -55,10 +56,10 @@ def test_transact_saving_rejects_overdraft():
 
     async def main():
         with pytest.raises(TransactionAbortedError):
-            await system.submit_act(
+            await system.submit(TxnRequest.act(
                 "account", 1, "transact_saving", -(INITIAL_SAVINGS + 1)
-            )
-        return await system.submit_act("account", 1, "balance")
+            ))
+        return await system.submit(TxnRequest.act("account", 1, "balance"))
 
     assert system.run(main()) == INITIAL_CHECKING + INITIAL_SAVINGS
 
@@ -68,7 +69,7 @@ def test_write_check_applies_penalty_when_overdrawn():
 
     async def main():
         big = INITIAL_CHECKING + INITIAL_SAVINGS + 5.0
-        checking = await system.submit_act("account", 1, "write_check", big)
+        checking = await system.submit(TxnRequest.act("account", 1, "write_check", big))
         return checking
 
     checking = system.run(main())
@@ -82,7 +83,7 @@ def test_write_check_no_penalty_when_funded():
     system = snapper_system()
 
     async def main():
-        return await system.submit_act("account", 1, "write_check", 100.0)
+        return await system.submit(TxnRequest.act("account", 1, "write_check", 100.0))
 
     assert system.run(main()) == INITIAL_CHECKING - 100.0
 
@@ -91,11 +92,11 @@ def test_amalgamate_moves_all_funds():
     system = snapper_system()
 
     async def main():
-        moved = await system.submit_pact(
+        moved = await system.submit(TxnRequest.pact(
             "account", 1, "amalgamate", 2, access={1: 1, 2: 1}
-        )
-        b1 = await system.submit_act("account", 1, "balance")
-        b2 = await system.submit_act("account", 2, "balance")
+        ))
+        b1 = await system.submit(TxnRequest.act("account", 1, "balance"))
+        b2 = await system.submit(TxnRequest.act("account", 2, "balance"))
         return moved, b1, b2
 
     moved, b1, b2 = system.run(main())
@@ -109,11 +110,11 @@ def test_amalgamate_conserves_total_money():
     system = snapper_system()
 
     async def main():
-        await system.submit_pact(
+        await system.submit(TxnRequest.pact(
             "account", 1, "amalgamate", 2, access={1: 1, 2: 1}
-        )
-        b1 = await system.submit_act("account", 1, "balance")
-        b2 = await system.submit_act("account", 2, "balance")
+        ))
+        b1 = await system.submit(TxnRequest.act("account", 1, "balance"))
+        b2 = await system.submit(TxnRequest.act("account", 2, "balance"))
         return b1 + b2
 
     total = system.run(main())
@@ -124,9 +125,9 @@ def test_multi_transfer_noop_variant_single_actor():
     system = snapper_system()
 
     async def main():
-        return await system.submit_act(
+        return await system.submit(TxnRequest.act(
             "account", 1, "multi_transfer_noop", (1.0, [], [2, 3], False)
-        )
+        ))
 
     assert system.run(main()) == "ok"
 
@@ -136,8 +137,8 @@ def test_same_ops_under_nt():
     system.register_actor(ACCOUNT_KIND, NTAccountActor)
 
     async def main():
-        await system.submit("account", 1, "deposit_checking", 10.0)
-        await system.submit("account", 1, "transact_saving", 5.0)
-        return await system.submit("account", 1, "balance")
+        await system.submit(TxnRequest.act("account", 1, "deposit_checking", 10.0))
+        await system.submit(TxnRequest.act("account", 1, "transact_saving", 5.0))
+        return await system.submit(TxnRequest.act("account", 1, "balance"))
 
     assert system.run(main()) == INITIAL_CHECKING + INITIAL_SAVINGS + 15.0

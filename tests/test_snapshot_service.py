@@ -4,6 +4,7 @@ the crash-decision records it leans on (docs/snapshots.md)."""
 import pytest
 
 from repro.actors.ref import ActorId
+from repro.api import TxnRequest
 from repro.core.engine.recovery import in_doubt_tail, recover_state_ex
 from repro.persistence.records import (
     BatchAbortRecord,
@@ -12,7 +13,7 @@ from repro.persistence.records import (
     BatchInfoRecord,
     SnapshotRecord,
 )
-from repro.sim import sleep, spawn
+from repro.sim import sleep
 
 from tests.conftest import build_system
 
@@ -41,14 +42,16 @@ def test_snapshot_bounds_replay_to_post_frontier_records():
 
     async def main():
         for _ in range(4):
-            await system.submit_pact("account", 1, "deposit", 1.0,
-                                     access={1: 1})
+            await system.submit(TxnRequest.pact(
+                "account", 1, "deposit", 1.0, access={1: 1}
+            ))
         await system.snapshots.snapshot_sweep()
         before = recover_state_ex(actor, system.loggers, None,
                                   _raise_on_delta)
         for _ in range(2):
-            await system.submit_pact("account", 1, "deposit", 1.0,
-                                     access={1: 1})
+            await system.submit(TxnRequest.pact(
+                "account", 1, "deposit", 1.0, access={1: 1}
+            ))
         after = recover_state_ex(actor, system.loggers, None,
                                  _raise_on_delta)
         return before, after
@@ -69,8 +72,9 @@ def test_fresh_sweep_resets_replay_to_zero():
 
     async def main():
         for _ in range(3):
-            await system.submit_pact("account", 1, "deposit", 1.0,
-                                     access={1: 1})
+            await system.submit(TxnRequest.pact(
+                "account", 1, "deposit", 1.0, access={1: 1}
+            ))
         await system.snapshots.snapshot_sweep()
         return recover_state_ex(actor, system.loggers, None,
                                 _raise_on_delta)
@@ -84,8 +88,9 @@ def test_unchanged_frontier_is_not_resnapshotted():
     system = _snap_system()
 
     async def main():
-        await system.submit_pact("account", 1, "deposit", 1.0,
-                                 access={1: 1})
+        await system.submit(TxnRequest.pact(
+            "account", 1, "deposit", 1.0, access={1: 1}
+        ))
         first = await system.snapshots.snapshot_sweep()
         second = await system.snapshots.snapshot_sweep()
         return first, second
@@ -107,8 +112,9 @@ def test_failed_persist_leaves_frontier_unmarked():
     actor = ActorId("account", 1)
 
     async def main():
-        await system.submit_pact("account", 1, "deposit", 1.0,
-                                 access={1: 1})
+        await system.submit(TxnRequest.pact(
+            "account", 1, "deposit", 1.0, access={1: 1}
+        ))
         real_persist = system.loggers.persist
 
         async def failing_persist(owner, record):
@@ -143,12 +149,14 @@ def test_actor_without_snapshot_pins_the_floor():
     system = _snap_system()
 
     async def main():
-        await system.submit_pact("account", 1, "deposit", 1.0,
-                                 access={1: 1})
+        await system.submit(TxnRequest.pact(
+            "account", 1, "deposit", 1.0, access={1: 1}
+        ))
         await system.snapshots.snapshot_sweep()
         # actor 2 logs state *after* the sweep: no snapshot covers it
-        await system.submit_pact("account", 2, "deposit", 1.0,
-                                 access={2: 1})
+        await system.submit(TxnRequest.pact(
+            "account", 2, "deposit", 1.0, access={2: 1}
+        ))
         pinned = await system.snapshots.truncate()
         # once actor 2 is snapshotted too, the floor lifts (the sweep
         # itself truncates after snapshotting)
@@ -165,8 +173,9 @@ def test_truncated_wal_still_recovers_every_actor():
 
     async def main():
         for key in (1, 2, 3):
-            await system.submit_pact("account", key, "deposit",
-                                     float(key), access={key: 1})
+            await system.submit(TxnRequest.pact(
+                "account", key, "deposit", float(key), access={key: 1}
+            ))
         await system.snapshots.snapshot_sweep()
         states = {}
         for key in (1, 2, 3):
@@ -191,8 +200,9 @@ def test_residency_budget_evicts_cold_and_reactivates_transparently():
 
     async def main():
         for key in keys:
-            await system.submit_pact("account", key, "deposit",
-                                     float(key), access={key: 1})
+            await system.submit(TxnRequest.pact(
+                "account", key, "deposit", float(key), access={key: 1}
+            ))
         await system.snapshots.snapshot_sweep()
         resident = [
             actor_id for actor_id in system.runtime._activations
@@ -200,7 +210,7 @@ def test_residency_budget_evicts_cold_and_reactivates_transparently():
         ]
         # the evicted majority transparently reactivates on touch
         balances = [
-            await system.submit_act("account", key, "balance")
+            await system.submit(TxnRequest.act("account", key, "balance"))
             for key in keys
         ]
         return resident, balances
@@ -216,12 +226,13 @@ def test_migrate_actor_preserves_state_on_the_target_silo():
     actor = ActorId("account", 1)
 
     async def main():
-        await system.submit_pact("account", 1, "deposit", 7.0,
-                                 access={1: 1})
+        await system.submit(TxnRequest.pact(
+            "account", 1, "deposit", 7.0, access={1: 1}
+        ))
         source = system.runtime.silo_of(actor)
         target = 1 - source
         moved = await system.snapshots.migrate_actor(actor, target)
-        balance = await system.submit_act("account", 1, "balance")
+        balance = await system.submit(TxnRequest.act("account", 1, "balance"))
         return moved, target, system.runtime.silo_of(actor), balance
 
     moved, target, now_on, balance = system.run(main())
@@ -235,8 +246,9 @@ def test_migration_refuses_mid_transaction_actors():
     actor = ActorId("account", 1)
 
     async def main():
-        await system.submit_pact("account", 1, "deposit", 1.0,
-                                 access={1: 1})
+        await system.submit(TxnRequest.pact(
+            "account", 1, "deposit", 1.0, access={1: 1}
+        ))
         activation = system.runtime._activations[actor]
         activation.turns_inflight += 1  # simulate a running turn
         try:
@@ -268,7 +280,7 @@ def test_durable_abort_decision_is_not_resurrected_by_recovery():
         await system.loggers.persist(
             ("abort", 600), BatchAbortRecord(bid=600))
         await system.recover()
-        return await system.submit_act("account", 1, "balance")
+        return await system.submit(TxnRequest.act("account", 1, "balance"))
 
     assert system.run(main()) == 100.0  # not 999: decided abort
     commits = [r for r in system.loggers.all_records()
@@ -292,7 +304,7 @@ def test_durable_commit_record_outranks_abort_record():
         await system.loggers.persist(
             ("abort", 600), BatchAbortRecord(bid=600))
         await system.recover()
-        return await system.submit_act("account", 1, "balance")
+        return await system.submit(TxnRequest.act("account", 1, "balance"))
 
     assert system.run(main()) == 999.0
 
@@ -334,14 +346,15 @@ def test_touch_during_crash_window_waits_for_recovery():
     system = build_system()
 
     async def phase1():
-        await system.submit_pact("account", 1, "deposit", 42.0,
-                                 access={1: 1})
+        await system.submit(TxnRequest.pact(
+            "account", 1, "deposit", 42.0, access={1: 1}
+        ))
 
     system.run(phase1())
     system.crash_silo()
 
     async def phase2():
-        probe = spawn(system.submit_act("account", 1, "balance"))
+        probe = system.submit(TxnRequest.act("account", 1, "balance"))
         await sleep(0.05)
         assert not probe.done()  # gated: the silo is down
         await system.recover()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import TransactionAbortedError
+from repro.api import TxnRequest
 from repro.trace import TraceEvent, TxnTrace, TxnTracer
 
 from tests.conftest import build_system
@@ -20,7 +21,8 @@ def traced_system(**kwargs):
 # ---------------------------------------------------------------------------
 def test_trace_event_ordering_and_durations():
     trace = TxnTrace(tid=1, mode="PACT")
-    trace.events = [(0.0, "registered", None), (0.010, "committed", None)]
+    trace.events = [TraceEvent(0.0, "registered"),
+                    TraceEvent(0.010, "committed")]
     assert trace.outcome == "committed"
     assert trace.duration("registered", "committed") == pytest.approx(0.010)
     assert trace.duration("registered", "nope") is None
@@ -46,31 +48,14 @@ def test_tracer_mean_duration():
     assert tracer.mean_duration("a", "zzz") is None
 
 
-def test_trace_event_is_tuple_compatible():
-    event = TraceEvent(1.5, "state_access", "ReadWrite",
-                       tid=7, bid=3, actor="account/1",
-                       access="ReadWrite", seq=42)
-    # legacy (time, event, detail) unpacking and indexing
-    when, name, detail = event
-    assert (when, name, detail) == (1.5, "state_access", "ReadWrite")
-    assert event[0] == 1.5 and event[1] == "state_access"
-    assert len(event) == 3
-    # positional aliases and enrichment attributes
-    assert event.when == event.time == 1.5
-    assert event.event == event.name == "state_access"
-    assert (event.tid, event.bid, event.actor, event.access, event.seq) == (
-        7, 3, "account/1", "ReadWrite", 42
-    )
-
-
 def test_trace_event_dict_round_trip():
     event = TraceEvent(1.0, "state_access", "Read",
                        tid=5, bid=2, actor="a/x", access="Read", seq=9)
     clone = TraceEvent.from_dict(event.to_dict())
-    assert tuple(clone) == tuple(event)
-    assert (clone.tid, clone.bid, clone.actor, clone.access, clone.seq) == (
-        5, 2, "a/x", "Read", 9
-    )
+    fields = ("time", "name", "detail", "tid", "bid", "actor", "access", "seq")
+    assert [getattr(clone, f) for f in fields] == [
+        1.0, "state_access", "Read", 5, 2, "a/x", "Read", 9
+    ]
 
 
 def test_record_enriched_fields_and_bid_capture():
@@ -84,16 +69,6 @@ def test_record_enriched_fields_and_bid_capture():
     assert [e.seq for e in events] == sorted(e.seq for e in events)
     access = events[-1]
     assert access.access == "Read" and access.actor == "a/1"
-
-
-def test_all_events_wraps_legacy_tuples():
-    tracer = TxnTracer()
-    tracer.record(0.0, 1, "registered")
-    tracer.traces[1].events.append((0.5, "committed", None))
-    events = tracer.all_events()
-    assert all(isinstance(e, TraceEvent) for e in events)
-    assert {e.name for e in events} == {"registered", "committed"}
-    assert all(e.tid == 1 for e in events)
 
 
 def test_jsonl_round_trip(tmp_path):
@@ -120,7 +95,9 @@ def test_pact_lifecycle_traced():
     system, tracer = traced_system()
 
     async def main():
-        await system.submit_pact("account", 1, "deposit", 5.0, access={1: 1})
+        await system.submit(TxnRequest.pact(
+            "account", 1, "deposit", 5.0, access={1: 1}
+        ))
 
     system.run(main())
     committed = tracer.by_outcome("committed")
@@ -139,7 +116,7 @@ def test_act_lifecycle_traced():
     system, tracer = traced_system()
 
     async def main():
-        await system.submit_act("account", 1, "transfer", (5.0, 2))
+        await system.submit(TxnRequest.act("account", 1, "transfer", (5.0, 2)))
 
     system.run(main())
     committed = tracer.by_outcome("committed")
@@ -157,8 +134,10 @@ def test_engine_emits_enriched_state_access_events():
     system, tracer = traced_system()
 
     async def main():
-        await system.submit_pact("account", 1, "deposit", 5.0, access={1: 1})
-        await system.submit_act("account", 1, "transfer", (5.0, 2))
+        await system.submit(TxnRequest.pact(
+            "account", 1, "deposit", 5.0, access={1: 1}
+        ))
+        await system.submit(TxnRequest.act("account", 1, "transfer", (5.0, 2)))
 
     system.run(main())
     accesses = [e for e in tracer.all_events() if e.name == "state_access"]
@@ -171,7 +150,7 @@ def test_engine_emits_enriched_state_access_events():
     # the ACT's check_passed detail carries the BS/AS evidence
     act = next(t for t in tracer.traces.values() if t.mode == "ACT")
     check = act.first("check_passed")
-    assert set(check[2]) == {"max_bs", "min_as"}
+    assert set(check.detail) == {"max_bs", "min_as"}
 
 
 def test_aborted_act_traced_with_reason():
@@ -179,13 +158,12 @@ def test_aborted_act_traced_with_reason():
 
     async def main():
         with pytest.raises(TransactionAbortedError):
-            await system.submit_act("account", 1, "transfer", (1e9, 2))
+            await system.submit(TxnRequest.act("account", 1, "transfer", (1e9, 2)))
 
     system.run(main())
     aborted = tracer.by_outcome("aborted")
     assert len(aborted) == 1
-    _, _, reason = aborted[0].first("aborted")
-    assert reason == "user_abort"
+    assert aborted[0].first("aborted").detail == "user_abort"
 
 
 def test_tracing_absent_costs_nothing():
@@ -193,8 +171,8 @@ def test_tracing_absent_costs_nothing():
     assert "txn_tracer" not in system.runtime.services
 
     async def main():
-        return await system.submit_pact(
+        return await system.submit(TxnRequest.pact(
             "account", 1, "deposit", 5.0, access={1: 1}
-        )
+        ))
 
     assert system.run(main()) == 105.0

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import AccessMode, SnapperSystem, TransactionAbortedError, TransactionalActor
+from repro.api import TxnRequest
 from repro.verify import (
     AccessRecorder,
     assert_serializable,
@@ -110,11 +111,13 @@ def test_audited_hybrid_execution_is_serializable():
         try:
             if i % 2 == 0:
                 access = {start: 1, others[0]: 1}
-                tid = await system.submit_pact(
+                tid = await system.submit(TxnRequest.pact(
                     "audited", start, "touch", others, access=access
-                )
+                ))
             else:
-                tid = await system.submit_act("audited", start, "touch", others)
+                tid = await system.submit(TxnRequest.act(
+                    "audited", start, "touch", others
+                ))
             committed.add(tid)
         except TransactionAbortedError:
             pass
